@@ -3,36 +3,32 @@
 Measures what the shard scheduler buys on the fleet's hot image
 (hikvision dominates ``BENCH_hotpath.json``'s fleet scan):
 
-* ``unsharded``  — the whole-image baseline every fleet worker used to
-  pay (1 job slot, no sharding);
+* ``unsharded``  — the whole-image baseline (1 job slot, no sharding);
 * ``sharded_1w`` — the sharded task graph (plan → N exec shards →
-  merge) run on a single worker: the 1-worker sharded baseline, whose
-  per-task walls also feed the schedule model;
-* ``sharded_4w`` — the same task graph run on a 4-worker pool.
+  merge) on a single worker: the pure cost of sharding, with the
+  per-task walls recorded under ``tasks_1w``;
+* ``sharded_<N>w`` — the same task graph on an N-worker pool
+  (``--workers``, default: this host's core count).
 
-Speedup methodology: shard exec tasks are independent worker
-processes, so on a host with >= 4 cores the 4-worker makespan is the
-serial prefix/suffix (plan + merge) plus an LPT packing of the
-measured exec walls onto 4 workers.  On hosts with fewer cores (CI
-containers are often throttled to one) the actually-measured 4-worker
-wall only reflects timeslicing, so the benchmark records BOTH the
-measured wall and the schedule-modeled speedup, uses the model as the
-headline ``speedup`` when cores < 4, and says so in the artifact
-(``speedup_modeled``/``cores`` fields).
+Every number is measured.  The headline ``speedup`` is the unsharded
+wall over the sharded N-worker wall on the same host, and the artifact
+records the host's ``cores`` next to it.
 
-Measurement hygiene: every configuration runs in its own fresh
-subprocess, so each one starts from identical cold interpreter state —
-no run inherits intern pools, allocator arenas, or page-cache warmth
-from a predecessor, and ordering artifacts cannot favour one config
-over another.  The timed ``sharded_1w`` configuration (whose task
-walls feed both sides of the schedule model) additionally runs
-``--trials`` times and each task slot keeps its minimum wall across
-trials — the standard timeit rationale: variance above the minimum is
-interference from the host, not variability in the code under test.
+Measurement hygiene: every run is a fresh subprocess, so each one
+starts from identical cold interpreter state — no run inherits intern
+pools, allocator arenas, or page-cache warmth from a predecessor.
+``--trials`` rounds run the configurations in turn (so slow drift of
+the host hits every configuration alike); ``runs`` keeps every wall
+and ``wall_seconds`` is each configuration's minimum — the timeit
+rationale: variance above the minimum is interference from the host,
+not variability in the code under test.
 
-Identity gate: the findings fingerprints of all three runs must be
+Identity gate: the findings fingerprints of every run must be
 byte-identical — sharding may only ever change the schedule, never the
-findings.  A divergence exits nonzero regardless of flags.
+findings.  A divergence exits nonzero regardless of flags.  Outside
+``--quick`` the run also fails unless ``speedup`` reaches
+``--min-speedup`` (default 1.0: sharding must not lose to the
+unsharded run).
 
 Usage:
     python benchmarks/bench_fleet_shard.py [--quick] [--out out.json]
@@ -132,32 +128,6 @@ def _run_isolated(elf_path, modules, shards, jobs):
     return data["fingerprint"], data["wall"], data["tasks"]
 
 
-def _min_tasks(trials):
-    """Per-slot minimum across trials (timeit's least-interference rule)."""
-    base = min(
-        trials, key=lambda t: t["plan"] + sum(t["exec"]) + t["merge"]
-    )
-    if any(len(t["exec"]) != len(base["exec"]) for t in trials):
-        return base        # shard count diverged: keep the best trial
-    return {
-        "plan": min(t["plan"] for t in trials),
-        "merge": min(t["merge"] for t in trials),
-        "exec": [
-            min(t["exec"][slot] for t in trials)
-            for slot in range(len(base["exec"]))
-        ],
-    }
-
-
-def _modeled_makespan(tasks, workers):
-    """Plan + LPT packing of exec walls onto ``workers`` + merge."""
-    loads = [0.0] * workers
-    for span in tasks["exec"]:
-        slot = min(range(workers), key=lambda index: loads[index])
-        loads[slot] += span
-    return tasks["plan"] + max(loads + [0.0]) + tasks["merge"]
-
-
 def run_bench(scale, shards, workers, quick=False, trials=1):
     built = build_firmware(IMAGE, scale=scale)
     workdir = tempfile.mkdtemp(prefix="dtaint-bench-shard-")
@@ -166,58 +136,43 @@ def run_bench(scale, shards, workers, quick=False, trials=1):
         handle.write(built.elf_bytes)
     modules = analyzed_module_prefixes(IMAGE)
 
-    fp_ref, wall_ref, _tasks = _run_isolated(elf_path, modules, 0, 1)
-    one_trials = [
-        _run_isolated(elf_path, modules, shards, 1)
-        for _ in range(max(1, trials))
-    ]
-    fp_one = one_trials[0][0]
-    if any(trial[0] != fp_one for trial in one_trials):
-        raise SystemExit("sharded_1w trials disagree on the fingerprint")
-    wall_one = min(trial[1] for trial in one_trials)
-    tasks_one = _min_tasks([trial[2] for trial in one_trials])
-    fp_many, wall_many, _tasks_many = _run_isolated(
-        elf_path, modules, shards, workers
-    )
+    many = "sharded_%dw" % workers
+    configs = {"unsharded": (0, 1), "sharded_1w": (shards, 1),
+               many: (shards, workers)}
+    runs = {name: [] for name in configs}
+    for _ in range(max(1, trials)):
+        for name, (count, jobs) in configs.items():
+            runs[name].append(
+                _run_isolated(elf_path, modules, count, jobs)
+            )
 
-    identical = fp_ref == fp_one == fp_many
-    cores = os.cpu_count() or 1
-    t1 = tasks_one["plan"] + sum(tasks_one["exec"]) + tasks_one["merge"]
-    t_modeled = _modeled_makespan(tasks_one, workers)
-    speedup_modeled = t1 / t_modeled if t_modeled else 0.0
-    speedup_measured = wall_one / wall_many if wall_many else 0.0
-    # With fewer physical cores than workers the measured wall only
-    # shows timeslicing; the schedule model (exact for independent
-    # processes) is the meaningful number there.
-    speedup = speedup_measured if cores >= workers else speedup_modeled
+    fingerprints = {name: [run[0] for run in config_runs]
+                    for name, config_runs in runs.items()}
+    every = {fp for fps in fingerprints.values() for fp in fps}
+    walls = {name: min(run[1] for run in config_runs)
+             for name, config_runs in runs.items()}
+    tasks_one = min(runs["sharded_1w"], key=lambda run: run[1])[2]
+    speedup = walls["unsharded"] / walls[many] if walls[many] else 0.0
     return {
         "image": IMAGE,
         "scale": scale,
         "shards": shards,
         "workers": workers,
-        "cores": cores,
+        "cores": os.cpu_count() or 1,
         "quick": quick,
         "trials": max(1, trials),
-        "fingerprints": {
-            "unsharded": fp_ref,
-            "sharded_1w": fp_one,
-            "sharded_%dw" % workers: fp_many,
-        },
-        "findings_identical": identical,
-        "wall_seconds": {
-            "unsharded": round(wall_ref, 3),
-            "sharded_1w": round(wall_one, 3),
-            "sharded_%dw" % workers: round(wall_many, 3),
-        },
+        "fingerprints": {name: fps[0] for name, fps in fingerprints.items()},
+        "findings_identical": len(every) == 1,
+        "runs": {name: [round(run[1], 3) for run in config_runs]
+                 for name, config_runs in runs.items()},
+        "wall_seconds": {name: round(wall, 3)
+                         for name, wall in walls.items()},
         "tasks_1w": {
             "plan": round(tasks_one["plan"], 3),
             "merge": round(tasks_one["merge"], 3),
             "exec": [round(span, 3) for span in tasks_one["exec"]],
         },
         "speedup": round(speedup, 3),
-        "speedup_modeled": round(speedup_modeled, 3),
-        "speedup_measured": round(speedup_measured, 3),
-        "speedup_is_modeled": cores < workers,
     }
 
 
@@ -230,12 +185,16 @@ def main():
                         help="update %s" % os.path.basename(DEFAULT_BASELINE))
     parser.add_argument("--scale", type=float, default=None)
     parser.add_argument("--shards", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=4)
-    parser.add_argument("--min-speedup", type=float, default=2.5,
-                        help="full-mode gate on the headline speedup")
+    parser.add_argument("--workers", type=int,
+                        default=os.cpu_count() or 1,
+                        help="pool size of the sharded_<N>w run "
+                             "(default: core count)")
+    parser.add_argument("--min-speedup", type=float, default=1.0,
+                        help="full-mode gate: unsharded wall over "
+                             "sharded_<N>w wall")
     parser.add_argument("--trials", type=int, default=None,
-                        help="sharded_1w timing trials (default 3, 1 "
-                             "with --quick)")
+                        help="timing rounds over every configuration "
+                             "(default 2, 1 with --quick)")
     # Internal single-configuration mode used for fresh-process
     # isolation; the parent invokes this script recursively with it.
     parser.add_argument("--one-config", action="store_true",
@@ -263,12 +222,11 @@ def main():
     shards = args.shards if args.shards is not None else (
         4 if args.quick else 16
     )
-    workers = 2 if args.quick and args.workers == 4 else args.workers
     trials = args.trials if args.trials is not None else (
-        1 if args.quick else 3
+        1 if args.quick else 2
     )
 
-    results = run_bench(scale, shards, workers, quick=args.quick,
+    results = run_bench(scale, shards, args.workers, quick=args.quick,
                         trials=trials)
     results["host"] = {
         "python": platform.python_version(),

@@ -3,8 +3,8 @@
 
 The full pipeline on a D-Link-style image: a TRX container wrapping a
 SimpleFS root filesystem with the ``cgibin`` target is built, then
-treated as an opaque blob: signature-scanned, carved, the filesystem
-unpacked, the network-facing ELF picked, and DTaint run over it — the
+treated as an opaque blob: signature-scanned, recursively extracted
+into a tree, the network-facing ELF picked, and DTaint run over it — the
 exact sequence the paper describes around its Binwalk-based extractor.
 
 Run:  python examples/firmware_audit.py
@@ -14,7 +14,7 @@ from repro.core import DTaint, DTaintConfig
 from repro.corpus.profiles import analyzed_module_prefixes, build_firmware
 from repro.firmware.binwalk import (
     entropy_profile,
-    extract_filesystem,
+    extract_tree,
     pick_target_binary,
     scan,
 )
@@ -49,12 +49,11 @@ def main():
     print("entropy: min %.2f, max %.2f bits/byte over %d blocks"
           % (min(profile), max(profile), len(profile)))
 
-    fs, container = extract_filesystem(blob)
-    print("\nextracted %s container; filesystem entries:" % container.container)
-    for path in fs.paths():
-        print("  " + path)
+    tree = extract_tree(blob, name="dir645.trx")
+    print("\nextraction tree:")
+    print(tree.render())
 
-    path, data = pick_target_binary(fs)
+    path, data = pick_target_binary(tree)
     print("\ntarget binary: %s (%d bytes)" % (path, len(data)))
 
     binary = load_elf(data)

@@ -69,7 +69,7 @@ def _injection(args):
     """Scoped injector from --inject specs (a no-op context without)."""
     import contextlib
 
-    from repro.pipeline.faultinject import injected
+    from repro.faultinject import injected
 
     if getattr(args, "inject", None):
         return injected(args.inject)
@@ -244,7 +244,7 @@ def _cmd_fleet_scan(args):
     if args.server:
         return _fleet_scan_via_server(args, keys, images)
     try:
-        from repro.pipeline.faultinject import FaultSpec
+        from repro.faultinject import FaultSpec
 
         for spec in args.inject or ():
             FaultSpec.parse(spec)

@@ -2,17 +2,17 @@
 
 The pipeline stages mirror the paper's §IV implementation: a firmware
 image arrives as an opaque blob; a Binwalk-style signature scanner
-(:mod:`repro.firmware.binwalk`) carves the container
-(:mod:`repro.firmware.image`), unpacks the root filesystem
-(:mod:`repro.firmware.simplefs`, :mod:`repro.firmware.logfs`,
-:mod:`repro.firmware.cramfs`), and the binary of interest is loaded
-for analysis.  Nested images go through the recursive UnpackParser
+(:mod:`repro.firmware.binwalk`) drives the recursive UnpackParser
 registry (:mod:`repro.firmware.unpack` + plugins in
-:mod:`repro.firmware.parsers`).  :mod:`repro.firmware.emulation` is
+:mod:`repro.firmware.parsers`), which carves the containers
+(:mod:`repro.firmware.image`) and unpacks the filesystems
+(:mod:`repro.firmware.simplefs`, :mod:`repro.firmware.logfs`,
+:mod:`repro.firmware.cramfs`) down to the binary of interest, which
+is loaded for analysis.  :mod:`repro.firmware.emulation` is
 the FIRMADYNE-style full-system boot model behind Figure 1.
 """
 
-from repro.firmware.binwalk import extract_filesystem, extract_tree, scan
+from repro.firmware.binwalk import extract_tree, scan
 from repro.firmware.image import FirmwareImage, pack_trx, pack_uimage
 from repro.firmware.simplefs import SimpleFS
 from repro.firmware.unpack import (
@@ -29,7 +29,6 @@ __all__ = [
     "RecursiveExtractor",
     "SimpleFS",
     "UnpackParser",
-    "extract_filesystem",
     "extract_tree",
     "pack_trx",
     "pack_uimage",

@@ -4,14 +4,11 @@ DTaint's front end "uses a custom-written extraction utility built
 around the Binwalk API to extract the root file system".  This module
 is that utility: a magic-signature scanner over the raw blob, a
 Shannon-entropy profile (how real Binwalk spots encrypted or
-compressed regions), and two carving paths:
-
-* :func:`extract_filesystem` — the flat path: outermost container →
-  SimpleFS rootfs, for the classic TRX/uImage single-filesystem image;
-* :func:`extract_tree` — the recursive path
-  (:mod:`repro.firmware.unpack`): carve → identify → unpack → recurse
-  through nested containers, compression wrappers, and filesystems
-  until every embedded binary is surfaced.
+compressed regions), :func:`extract_tree` — the recursive
+(:mod:`repro.firmware.unpack`) carve → identify → unpack → recurse
+through nested containers, compression wrappers, and filesystems
+until every embedded binary is surfaced — and
+:func:`pick_target_binary`, which chooses the ELF to analyse.
 
 The signature table is derived from the UnpackParser registry, so a
 newly registered format is scannable here without touching this file.
@@ -20,11 +17,8 @@ newly registered format is scannable here without touching this file.
 import math
 from dataclasses import dataclass
 
-from repro import faultinject
 from repro.errors import FirmwareError
-from repro.firmware import image as img
 from repro.firmware import unpack as unpack_mod
-from repro.firmware.simplefs import MAGIC as SFS_MAGIC, SimpleFS
 from repro.firmware.unpack import ELF_MAGIC
 
 
@@ -83,56 +77,6 @@ def entropy_profile(data, block_size=1024):
                 entropy -= p * math.log2(p)
         profile.append(entropy)
     return profile
-
-
-def carve(data):
-    """Parse the outermost container in ``data``.
-
-    Every candidate signature is tried **in offset order**; a
-    candidate that fails to parse (decoy magic, corrupt header,
-    undecodable wrapper) is recorded and the next one is tried.  The
-    call fails only when no candidate parses — a stray vendor-blob
-    marker ahead of a valid TRX no longer aborts the extraction.
-    """
-    failures = []
-    for hit in scan(data):
-        try:
-            if hit.kind == "trx":
-                return img.parse_trx(data, hit.offset)
-            if hit.kind == "uimage":
-                return img.parse_uimage(data, hit.offset)
-            if hit.kind == "vendor-blob":
-                # Recover the XOR key from the wrapper header and
-                # carve the deobfuscated payload in its place.
-                inner, _span, _key = img.parse_vendor_blob(data, hit.offset)
-                return carve(inner)
-        except FirmwareError as exc:
-            failures.append("%s@0x%x: %s" % (hit.kind, hit.offset, exc))
-    if failures:
-        raise FirmwareError(
-            "no candidate container parsed: %s" % "; ".join(failures)
-        )
-    raise FirmwareError("no known container signature found")
-
-
-def extract_filesystem(data, name=""):
-    """Flat pipeline: blob -> container -> SimpleFS root filesystem.
-
-    Malformed blobs raise :class:`FirmwareError`; ``name`` labels the
-    image for fault probes and error messages.  Images whose rootfs is
-    not a SimpleFS (nested matryoshka images) need
-    :func:`extract_tree` instead.
-    """
-    faultinject.check("firmware.unpack", name)
-    container = carve(data)
-    rootfs_data = container.rootfs
-    if rootfs_data[:4] != SFS_MAGIC:
-        # The rootfs may sit at an aligned offset; rescan within it.
-        index = rootfs_data.find(SFS_MAGIC)
-        if index < 0:
-            raise FirmwareError("no filesystem inside the container")
-        rootfs_data = rootfs_data[index:]
-    return SimpleFS.unpack(rootfs_data), container
 
 
 def extract_tree(data, name="", **budget_kwargs):

@@ -43,11 +43,6 @@ class FleetIndex:
         self.corrupt = 0
         self.stored = 0
         self._pending = {}    # path -> serialized record bytes
-        # Read-only record segment (closure -> raw record bytes),
-        # attached from a scheduler-published shared-memory block so
-        # a shard fan-out probes one in-memory dict instead of every
-        # worker re-reading the same record files.
-        self._segment = {}
 
     # -- paths -------------------------------------------------------------
 
@@ -61,40 +56,13 @@ class FleetIndex:
 
     # -- summaries ---------------------------------------------------------
 
-    def attach_segment(self, records):
-        """Overlay a ``{closure: record bytes}`` read-only segment."""
-        if records:
-            self._segment.update(records)
-
-    def collect_records(self, closures):
-        """Raw record bytes for every present closure (for a segment)."""
-        records = {}
-        for closure in closures:
-            path = self._summary_path(closure)
-            data = self._pending.get(path)
-            if data is None:
-                try:
-                    with open(path, "rb") as handle:
-                        data = handle.read()
-                except OSError:
-                    continue
-            records[closure] = data
-        return records
-
     def get_summary(self, closure):
         """(summary, literals, strays) for a closure key, or ``None``."""
         path = self._summary_path(closure)
         record = self._pending.get(path)
-        if record is None:
-            segment = self._segment.get(closure)
-            if segment is not None:
-                try:
-                    record = pickle.loads(segment)
-                except Exception:
-                    record = None    # bad segment: fall through to disk
-        else:
+        if record is not None:
             record = pickle.loads(record)
-        if record is None:
+        else:
             try:
                 with open(path, "rb") as handle:
                     record = pickle.load(handle)
@@ -195,18 +163,3 @@ class FleetIndex:
             "cache_corrupt": self.corrupt,
         }
 
-
-def pack_segment(records):
-    """Serialise a ``{closure: record bytes}`` map for shared memory.
-
-    The scheduler publishes the packed bytes once per sharded plan;
-    every shard worker attaches and overlays it via
-    :meth:`FleetIndex.attach_segment`, so a fan-out of N workers costs
-    one set of record reads instead of N.
-    """
-    return pickle.dumps(dict(records), protocol=4)
-
-
-def load_segment(buf):
-    """Inverse of :func:`pack_segment` (accepts any bytes-like)."""
-    return pickle.loads(bytes(buf))

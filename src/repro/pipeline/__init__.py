@@ -11,11 +11,19 @@ The paper evaluates DTaint one image at a time; its workload is a
 * :mod:`repro.pipeline.telemetry` — structured JSONL run events and
   the end-of-run summary table;
 * :mod:`repro.pipeline.results` — canonical per-image findings and
-  the fleet-level rollup;
-* :mod:`repro.pipeline.faultinject` — the deterministic fault-injection
-  harness behind the chaos suite and ``--inject``.
+  the fleet-level rollup.
+
+The fault-injection entry points the chaos suite and ``--inject`` use
+are re-exported from :mod:`repro.faultinject`, which sits below this
+package because its probes are compiled into the analysis layers.
 """
 
+from repro.faultinject import (
+    FaultInjector,
+    FaultSpec,
+    injected,
+    pick_target,
+)
 from repro.pipeline.cache import (
     ReportCache,
     SummaryCache,
@@ -23,12 +31,6 @@ from repro.pipeline.cache import (
     collect_garbage,
     report_fingerprint,
     summary_fingerprint,
-)
-from repro.pipeline.faultinject import (
-    FaultInjector,
-    FaultSpec,
-    injected,
-    pick_target,
 )
 from repro.pipeline.results import (
     ResultsStore,

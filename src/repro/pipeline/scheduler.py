@@ -48,7 +48,6 @@ from repro.errors import (
     WorkerCrash,
     WorkerStalled,
 )
-from repro.pipeline import sharedstate
 from repro.pipeline.cache import (
     ReportCache,
     SummaryCache,
@@ -414,12 +413,9 @@ class FleetScheduler:
         # Memoised backoff schedule, pruned when a job reaches a
         # terminal state so long daemon runs stay bounded.
         self._backoff_state = {}
-        # Sharding infrastructure, all lazily created: the spill
-        # directory exec/merge tasks exchange pickles through, and the
-        # published interned-expression arena seed every worker shares
-        # (None = not yet tried, False = publish failed, stay local).
+        # The spill directory exec/merge shard tasks exchange pickles
+        # through, created on the first sharded job.
         self._spill_dir = None
-        self._arena_block = None
 
     @property
     def pool(self):
@@ -434,9 +430,6 @@ class FleetScheduler:
         if self._owns_pool and self._pool is not None:
             self._pool.close()
             self._pool = None
-        if self._arena_block:
-            self._arena_block.unlink()
-        self._arena_block = None
         if self._spill_dir is not None:
             shutil.rmtree(self._spill_dir, ignore_errors=True)
             self._spill_dir = None
@@ -475,7 +468,7 @@ class FleetScheduler:
             else:
                 queue.append((job, 1, 0.0))
         # job_id -> in-flight shard fan-out bookkeeping (plan payload,
-        # outstanding shard set, published per-run shared blocks).
+        # outstanding shard set).
         shard_states = {}
         running = []
         run_start = time.perf_counter()
@@ -505,9 +498,6 @@ class FleetScheduler:
         finally:
             for record in running:   # unwind on unexpected scheduler error
                 self.pool.discard(record.worker)
-            for state in shard_states.values():
-                for block in state.get("blocks", ()):
-                    block.unlink()
         wall = time.perf_counter() - run_start
         ordered = [results[job.job_id] for job in fleet_jobs]
         self.telemetry.emit(
@@ -681,28 +671,6 @@ class FleetScheduler:
             self._spill_dir = tempfile.mkdtemp(prefix="dtaint-shards-")
         return self._spill_dir
 
-    def _ensure_arena_ref(self):
-        """Publish the interned-expression seed pool once per scheduler.
-
-        Idle workers attach immediately via the pool's control
-        channel; busy ones attach lazily from the ref each shard task
-        carries (the worker-side memo makes repeats free).  Publishing
-        is strictly an optimisation — on any failure workers simply
-        build their own arenas, as an unsharded run would.
-        """
-        if self._arena_block is None:
-            try:
-                from repro.symexec.value import export_arena_seed
-
-                self._arena_block = sharedstate.publish(
-                    export_arena_seed(), label="dtaint-arena"
-                )
-            except Exception:
-                self._arena_block = False
-            else:
-                self.pool.share("arena", self._arena_block.ref)
-        return self._arena_block.ref if self._arena_block else None
-
     def _advance_shard(self, record, payload, elapsed, queue, shard_states):
         """Fold one finished plan/exec task into the fan-out state."""
         jid = record.job.job_id
@@ -725,24 +693,12 @@ class FleetScheduler:
     def _accept_plan(self, record, payload, queue, shard_states):
         jid = record.job.job_id
         shards = payload["shards"]
-        blocks = []
-        segment_ref = None
-        if payload.get("segment_records"):
-            # Fleet dedup-index records every shard is about to probe,
-            # published once instead of read per worker per function.
-            block = sharedstate.publish(
-                payload["segment_records"], label="dtaint-index"
-            )
-            blocks.append(block)
-            segment_ref = block.ref
         base = {
             "sha256": payload["sha256"],
             "spill": payload["spill"],
             "spill_dir": self._ensure_spill_dir(),
             "bin_name": payload.get("bin_name", ""),
             "fingerprints_blob": payload.get("fingerprints_blob"),
-            "segment_ref": segment_ref,
-            "arena_ref": self._ensure_arena_ref(),
         }
         shard_states[jid] = {
             "gen": record.attempt,
@@ -752,7 +708,6 @@ class FleetScheduler:
             "pending": len(shards),
             "done": {},
             "t0": record.started,
-            "blocks": blocks,
         }
         plan_info = payload.get("plan_info", {})
         self.telemetry.emit(
@@ -795,8 +750,6 @@ class FleetScheduler:
                            shard_states):
         state = shard_states.pop(record.job.job_id, None)
         if state is not None:
-            for block in state.get("blocks", ()):
-                block.unlink()
             # The image's wall time spans plan start to merge finish;
             # per-task elapsed would under-report it in the rollup.
             elapsed = time.perf_counter() - state["t0"]
@@ -820,9 +773,6 @@ class FleetScheduler:
         state = shard_states.pop(jid, None)
         if record.job.shard_phase != "plan" and state is None:
             return      # stale sibling of an already-failed generation
-        if state is not None:
-            for block in state.get("blocks", ()):
-                block.unlink()
         queue[:] = [
             entry for entry in queue
             if not (entry[0].job_id == jid and entry[0].shard_phase)

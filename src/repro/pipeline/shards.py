@@ -430,7 +430,6 @@ def _plan_body(job, attempt, cache_dir, use_summary_cache,
                                build_seconds)
 
     fingerprints_blob = None
-    segment_records = None
     with profiling.PROFILER.phase("plan"):
         names, selected = _selected_names(binary, config)
         costs = {
@@ -439,7 +438,6 @@ def _plan_body(job, attempt, cache_dir, use_summary_cache,
         }
     if use_fleet_index and cache_dir and use_summary_cache:
         from repro.core import DTaint
-        from repro.increment.index import pack_segment
         from repro.increment.reuse import open_incremental_cache
 
         bound = open_incremental_cache(cache_dir, sha, config)
@@ -468,12 +466,6 @@ def _plan_body(job, attempt, cache_dir, use_summary_cache,
             fingerprints_blob = pickle.dumps(
                 bound.fingerprints, protocol=4
             )
-            closures = sorted(
-                fp.closure for fp in bound.fingerprints.values()
-            )
-            segment_records = pack_segment(
-                bound.index.collect_records(closures)
-            )
     else:
         with profiling.PROFILER.phase("plan"):
             edges = scan_direct_call_edges(binary, set(names))
@@ -492,7 +484,6 @@ def _plan_body(job, attempt, cache_dir, use_summary_cache,
         "shards": [list(names) for names in plan.shards],
         "plan_info": plan.describe(),
         "fingerprints_blob": fingerprints_blob,
-        "segment_records": segment_records,
         "profile": profile,
         "cache": cache_stats,
         "resources": {"build_seconds": build_seconds},
@@ -518,21 +509,12 @@ def _open_shard_cache(sp, sha, config, binary, cache_dir,
     if not (cache_dir and use_summary_cache):
         return None
     if use_fleet_index:
-        from repro.increment.index import load_segment
         from repro.increment.reuse import open_incremental_cache
-        from repro.pipeline import sharedstate
 
         bound = open_incremental_cache(cache_dir, sha, config)
         blob = sp.get("fingerprints_blob")
         if blob:
             bound.seed_fingerprints(binary, pickle.loads(blob))
-        segment_ref = sp.get("segment_ref")
-        if segment_ref:
-            records = sharedstate.attach_once(
-                tuple(segment_ref), load_segment
-            )
-            if records:
-                bound.index.attach_segment(records)
         return bound
     return SummaryCache(cache_dir).for_binary(sha, config)
 
@@ -545,15 +527,10 @@ def _execute_shard(job, attempt, cache_dir=None, use_summary_cache=True,
     from repro.core.types import infer_types
     from repro.eval.resources import measure
     from repro.loader.binary import load_elf
-    from repro.pipeline import sharedstate
-    from repro.symexec.value import attach_arena_seed
 
     sp = job.shard_payload or {}
     baseline = profiling.PROFILER.snapshot()
     with measure() as usage, _gc_paused():
-        arena_ref = sp.get("arena_ref")
-        if arena_ref:
-            sharedstate.attach_once(tuple(arena_ref), attach_arena_seed)
         with open(sp["spill"], "rb") as handle:
             data = handle.read()
         binary = load_elf(data, name=sp.get("bin_name", job.job_id))

@@ -164,23 +164,6 @@ def _control_reply(message, rlimits_applied):
             "pid": os.getpid(),
             "rlimits": dict(rlimits_applied),
         }
-    if command == "attach":
-        # Attach a scheduler-published read-only block (see
-        # repro.pipeline.sharedstate) into this worker, e.g. the
-        # interned-expression arena seed.  Failure is reported, never
-        # raised: a worker that cannot attach just builds its own
-        # state, exactly as an unshared run would.
-        from repro.pipeline import sharedstate
-
-        kind, ref = message[1], message[2]
-        ok = False
-        if kind == "arena":
-            from repro.symexec.value import attach_arena_seed
-
-            ok = sharedstate.attach_once(
-                tuple(ref), attach_arena_seed
-            ) is not None
-        return {"control": "attach", "kind": kind, "ok": bool(ok)}
     if command == "alloc":
         # Diagnostic: try one big allocation under the armed rlimits.
         # Proves the memory governor converts exhaustion to the typed
@@ -314,17 +297,22 @@ class PoolWorker:
         )
 
     def kill(self):
-        """Terminate escalating SIGTERM -> SIGKILL; close the pipe."""
-        try:
-            self.conn.close()
-        except OSError:
-            pass
+        """Terminate escalating SIGTERM -> SIGKILL; close the pipe.
+
+        The signal goes out before the pipe closes: a healthy worker
+        blocked in ``recv`` would otherwise see EOF and exit on its own
+        first, so the exit code would not say how it was stopped.
+        """
         if self.process.is_alive():
             self.process.terminate()
             self.process.join(0.5)
         if self.process.is_alive():
             self.process.kill()
             self.process.join(5)
+        try:
+            self.conn.close()
+        except OSError:
+            pass
 
 
 class WorkerPool:
@@ -364,9 +352,6 @@ class WorkerPool:
         self.recycled_total = 0
         self.discarded_total = 0
         self._closed = False
-        # (kind, ref) tuples of published read-only blocks every
-        # worker should attach — replayed into each new spawn.
-        self.shared_refs = []
 
     # ------------------------------------------------------------------
 
@@ -416,23 +401,6 @@ class WorkerPool:
     def warm_count(self):
         return len(self._idle)
 
-    def share(self, kind, ref):
-        """Announce a published read-only block to the whole pool.
-
-        Idle workers attach immediately over their control channel;
-        every future spawn attaches right after start.  Workers busy
-        at announcement time pick the block up from the ref each shard
-        task carries — the worker-side memo in
-        :mod:`repro.pipeline.sharedstate` makes the repeat free.
-        """
-        ref = tuple(ref)
-        self.shared_refs.append((kind, ref))
-        for worker in list(self._idle):
-            try:
-                worker.control("attach", kind, ref, timeout=5.0)
-            except (PipelineError, OSError, EOFError):
-                pass     # attach is best-effort; the worker stays usable
-
     def prewarm(self, count):
         """Fork ``count`` idle workers ahead of the first job."""
         need = max(count - len(self._idle), 0)
@@ -470,13 +438,7 @@ class WorkerPool:
         process.start()
         child_conn.close()
         self.spawned_total += 1
-        worker = PoolWorker(process, parent_conn, worker_id)
-        for kind, ref in self.shared_refs:
-            try:
-                worker.control("attach", kind, ref, timeout=5.0)
-            except (PipelineError, OSError, EOFError):
-                break
-        return worker
+        return PoolWorker(process, parent_conn, worker_id)
 
     def _stop(self, worker):
         """Ask a worker to exit its loop, then make sure it did."""

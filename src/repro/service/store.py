@@ -42,7 +42,11 @@ import zlib
 
 from repro import faultinject
 from repro.errors import PipelineError
-from repro.pipeline.results import image_document, rollup_document
+from repro.pipeline.results import (
+    _write_json,
+    image_document,
+    rollup_document,
+)
 
 # v2: adds the image_quarantine table (per-image crash circuit
 # breaker).  Additive only — a v1 file upgrades in place via the
@@ -741,9 +745,9 @@ def migrate_output_dir(db, out_dir):
 def export_run_dir(db, run_id, out_dir):
     """Write one run back out as the JSON directory layout.
 
-    The inverse of :func:`migrate_output_dir`: files are serialised
-    with the same ``indent=2, sort_keys=True`` the JSON store uses, so
-    a migrate → export round trip is byte-identical.
+    The inverse of :func:`migrate_output_dir`: files go through the
+    JSON store's own atomic writer, so a migrate → export round trip is
+    byte-identical and a failed export never leaves a torn file.
     """
     exported = db.export_run(run_id)
     os.makedirs(os.path.join(out_dir, "images"), exist_ok=True)
@@ -770,9 +774,3 @@ def _load_json(path):
     except ValueError as exc:
         raise PipelineError("unreadable results document %s: %s"
                             % (path, exc))
-
-
-def _write_json(path, document):
-    with open(path, "w") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-    return path

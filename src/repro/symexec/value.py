@@ -268,43 +268,6 @@ del _v
 UNKNOWN = SymVar("<unknown>")
 
 
-def export_arena_seed(max_items=8192):
-    """A picklable seed of this process's atom arenas (bytes).
-
-    Covers the atoms every scan re-creates identically: the eager
-    small-constant pool plus whatever constants and variable names
-    this process interned so far.  The fleet scheduler publishes the
-    seed once as a read-only shared-memory block and every pool
-    worker attaches it (:func:`attach_arena_seed`), so worker arenas
-    start warm instead of being rebuilt per process.  Interning is
-    content-addressed, so seeding is pure optimisation — it can never
-    change an analysis result, only skip allocations.
-    """
-    import pickle
-
-    return pickle.dumps(
-        {
-            "consts": list(SymConst._pool)[:max_items],
-            "vars": list(SymVar._pool)[:max_items],
-        },
-        protocol=4,
-    )
-
-
-def attach_arena_seed(buf):
-    """Re-intern a seed from :func:`export_arena_seed`; returns count."""
-    import pickle
-
-    seed = pickle.loads(bytes(buf))
-    consts = seed.get("consts", ())
-    names = seed.get("vars", ())
-    for value in consts:
-        SymConst(value)
-    for name in names:
-        SymVar(name)
-    return len(consts) + len(names)
-
-
 def _valid_linear(terms, const):
     """The documented SymLin canonical-form invariant."""
     if not isinstance(terms, tuple) or not terms:

@@ -30,14 +30,14 @@ from repro.errors import (
     SymExecError,
     SymexecFault,
 )
-from repro.loader.binary import load_elf
-from repro.loader.link import build_executable
-from repro.pipeline.faultinject import (
+from repro.faultinject import (
     FaultInjector,
     FaultSpec,
     injected,
     pick_target,
 )
+from repro.loader.binary import load_elf
+from repro.loader.link import build_executable
 from repro.symexec.engine import SymbolicEngine
 
 _HANDLER = (
@@ -245,9 +245,10 @@ class TestMalformedInjection:
         fs.add_file("/bin/b", b"B" * 100)
         blob = pack_trx(b"KERNEL", fs.pack())
         with injected(["malformed@firmware.file:/bin/a"]):
-            unpacked, _container = binwalk.extract_filesystem(blob)
-        assert unpacked.paths() == ["/bin/b"]
-        assert unpacked.skipped[0][0] == "/bin/a"
+            tree = binwalk.extract_tree(blob)
+        rootfs = tree.root.children[-1]
+        assert [child.label for child in rootfs.children] == ["/bin/b"]
+        assert rootfs.notes[0].startswith("skipped /bin/a")
 
     def test_firmware_unpack_fault_is_typed(self):
         from repro.firmware import binwalk
@@ -259,7 +260,7 @@ class TestMalformedInjection:
         blob = pack_trx(b"K", fs.pack())
         with injected(["malformed@firmware.unpack:fw"]):
             with pytest.raises(MalformedInput):
-                binwalk.extract_filesystem(blob, name="fw")
+                binwalk.extract_tree(blob, name="fw")
 
 
 class TestDeadline:

@@ -34,6 +34,12 @@ def _sample_fs():
     return fs
 
 
+def _files(tree):
+    """``{path: bytes}`` of the filesystem files an extraction surfaced."""
+    return {node.label: node.data for node in tree.nodes()
+            if node.label.startswith("/") and node.data is not None}
+
+
 class TestSimpleFS:
     def test_pack_unpack_roundtrip(self):
         fs = _sample_fs()
@@ -130,45 +136,48 @@ class TestBinwalk:
     def test_extract_trx_filesystem(self):
         fs = _sample_fs()
         blob = pack_trx(b"KERNEL", fs.pack())
-        extracted, container = binwalk.extract_filesystem(blob)
-        assert container.container == "trx"
-        assert extracted.read_file("/etc/passwd").startswith(b"root:")
+        tree = binwalk.extract_tree(blob)
+        assert tree.root.parser == "trx"
+        assert _files(tree)["/etc/passwd"].startswith(b"root:")
 
     def test_extract_uimage_filesystem(self):
         fs = _sample_fs()
         blob = pack_uimage(b"KERNEL", fs.pack())
-        extracted, container = binwalk.extract_filesystem(blob)
-        assert container.container == "uimage"
-        assert "/bin/cgibin" in extracted
+        tree = binwalk.extract_tree(blob)
+        assert tree.root.parser == "uimage"
+        assert "/bin/cgibin" in _files(tree)
 
     def test_vendor_blob_extracts_via_key_recovery(self):
         # The XOR key is recovered from the wrapper's own header and
         # the payload deobfuscated in place of failing the extraction.
         blob = pack_vendor_blob(b"KERNEL", _sample_fs().pack(),
                                 xor_key=0x77)
-        extracted, container = binwalk.extract_filesystem(blob)
-        assert container.container == "trx"
-        assert "/bin/cgibin" in extracted
+        tree = binwalk.extract_tree(blob)
+        assert tree.root.parser == "vendor-blob"
+        assert [child.parser for child in tree.root.children] == ["trx"]
+        assert "/bin/cgibin" in _files(tree)
         inner, span, key = parse_vendor_blob(blob)
         assert span == len(blob)
         assert key == 0x77
         assert inner[:4] == TRX_MAGIC
 
     def test_carve_tries_candidates_past_decoy_vendor_blob(self):
-        # Regression: carve() used to raise on the first vendor-blob
-        # hit, masking a perfectly valid TRX later in the blob.  The
-        # decoy's payload decodes (key 0x00) to no known container, so
-        # the carver must fall through, not abort.
+        # Regression: the carver used to raise on the first
+        # vendor-blob hit, masking a perfectly valid TRX later in the
+        # blob.  The decoy's payload decodes (key 0x00) to no known
+        # container, so the carver must fall through, not abort.
         decoy = b"VNDR" + struct.pack("<BxxxI", 0x00, 8) + b"\x00" * 8
         blob = decoy + pack_trx(b"KERNEL", _sample_fs().pack())
-        extracted, container = binwalk.extract_filesystem(blob)
-        assert container.container == "trx"
-        assert "/bin/cgibin" in extracted
+        tree = binwalk.extract_tree(blob)
+        assert tree.root.parser == "trx"
+        assert tree.root.offset == len(decoy)
+        assert tree.root.notes[0].startswith("vendor-blob@0x0")
+        assert "/bin/cgibin" in _files(tree)
 
     def test_carve_fails_only_when_no_candidate_parses(self):
         decoy = b"VNDR" + struct.pack("<BxxxI", 0x00, 8) + b"\x00" * 8
         with pytest.raises(FirmwareError) as excinfo:
-            binwalk.carve(decoy + b"\xfe" * 32)
+            binwalk.extract_tree(decoy + b"\xfe" * 32)
         # The error names what was tried, not just "vendor wrapper".
         assert "vendor-blob@0x0" in str(excinfo.value)
 

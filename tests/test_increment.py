@@ -28,6 +28,7 @@ from repro.core import DTaint, DTaintConfig
 from repro.corpus.fleet import build_version_pair
 from repro.corpus.profiles import analyzed_module_prefixes
 from repro.errors import MalformedInput
+from repro.faultinject import injected
 from repro.increment import (
     FleetIndex,
     classify_functions,
@@ -51,7 +52,6 @@ from repro.pipeline import (
     findings_fingerprint,
 )
 from repro.pipeline.cache import CACHE_FORMAT_VERSION, summary_fingerprint
-from repro.pipeline.faultinject import injected
 from repro.pipeline.results import ResultsStore
 
 SCALE = 0.05

@@ -118,13 +118,13 @@ class TestMalformedELF:
 class TestMalformedFirmware:
     def test_zero_length(self):
         with pytest.raises(FirmwareError):
-            binwalk.extract_filesystem(b"")
+            binwalk.extract_tree(b"")
 
     def test_truncation_sweep(self, firmware_blob):
         step = max(1, len(firmware_blob) // 200)
         for length in range(0, len(firmware_blob), step):
             _assert_typed(
-                binwalk.extract_filesystem, firmware_blob[:length],
+                binwalk.extract_tree, firmware_blob[:length],
                 FirmwareError,
             )
 
@@ -135,7 +135,7 @@ class TestMalformedFirmware:
         for _ in range(rng.randrange(1, 16)):
             blob[rng.randrange(len(blob))] ^= 1 << rng.randrange(8)
         _assert_typed(
-            binwalk.extract_filesystem, bytes(blob), FirmwareError
+            binwalk.extract_tree, bytes(blob), FirmwareError
         )
 
     def test_trx_header_garbage(self):

@@ -22,6 +22,7 @@ import time
 import pytest
 
 from repro.errors import MalformedInput
+from repro.faultinject import injected
 from repro.loader.link import build_executable
 from repro.pipeline import (
     FleetJob,
@@ -32,7 +33,6 @@ from repro.pipeline import (
     execute_job,
     findings_fingerprint,
 )
-from repro.pipeline.faultinject import injected
 from repro.service import (
     AnalysisDaemon,
     JobQueue,
@@ -353,6 +353,27 @@ class TestMigration:
                 original = handle.read()
             with open(os.path.join(export_dir, relative), "rb") as handle:
                 assert handle.read() == original, relative
+        db.close()
+
+    def test_export_under_results_fault_leaves_no_torn_file(
+            self, tmp_path, elf_path):
+        out_dir = self._populated_out_dir(tmp_path, elf_path)
+        db = ResultsDB(str(tmp_path / "dtaint.sqlite"))
+        run_id, _ = migrate_output_dir(db, out_dir)
+        export_dir = str(tmp_path / "export")
+        with injected(["malformed@results:img-a.json"]):
+            with pytest.raises(MalformedInput):
+                export_run_dir(db, run_id, export_dir)
+        images = os.listdir(os.path.join(export_dir, "images"))
+        assert "img-a.json" not in images
+        assert [name for name in images if ".tmp." in name] == []
+        # Once the fault is gone the export completes byte-identically.
+        export_run_dir(db, run_id, export_dir)
+        relative = os.path.join("images", "img-a.json")
+        with open(os.path.join(out_dir, relative), "rb") as handle:
+            original = handle.read()
+        with open(os.path.join(export_dir, relative), "rb") as handle:
+            assert handle.read() == original
         db.close()
 
     def test_migrate_cli(self, tmp_path, elf_path, capsys):

@@ -1,4 +1,4 @@
-"""Intra-image shard scheduling: planner, shared state, byte-identity.
+"""Intra-image shard scheduling: planner, blob shipping, byte-identity.
 
 The acceptance property of the whole subsystem is that sharding is
 *invisible* in the output: any shard count (including auto) must yield
@@ -6,22 +6,21 @@ a findings fingerprint and coverage counters byte-identical to the
 unsharded pipeline, because shards only repartition the
 pre-interprocedural work and the merge reassembles the exact state the
 serial tail would have seen.  Everything else here — planner
-determinism, component integrity, the vectorised call scout, shared
-read-only blocks, summary-blob shipping, the unsharded fallback —
-exists in service of that property.
+determinism, component integrity, the vectorised call scout,
+summary-blob shipping, the unsharded fallback — exists in service of
+that property.
 """
 
 import pickle
+import shutil
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.corpus.profiles import analyzed_module_prefixes, build_firmware
-from repro.increment.index import FleetIndex, load_segment, pack_segment
 from repro.loader.link import build_executable
 from repro.pipeline import FleetJob, FleetScheduler, findings_fingerprint
-from repro.pipeline import sharedstate
 from repro.pipeline.shards import (
     AUTO_SHARDS,
     plan_shards,
@@ -29,7 +28,6 @@ from repro.pipeline.shards import (
 )
 from repro.pipeline.telemetry import Telemetry
 from repro.service import fleet_job_from_spec, job_spec
-from repro.symexec.value import attach_arena_seed, export_arena_seed
 
 IMAGE = "dir645"
 SCALE = 0.25    # smallest build whose cost clears two min-cost shards
@@ -186,6 +184,45 @@ class TestShardIdentity:
                   if event["event"] == "shard_merge_finish"]
         assert merged, "sharded runs must go through the merge task"
 
+    def test_incremental_identity_cold_and_warm(self, image_elf,
+                                                tmp_path):
+        """Fleet-index runs: shards 0 / 2, cold then warm, one result.
+
+        The third pass drops the whole-image records so the sharded
+        plan cannot short-circuit: shard tasks must seed the shipped
+        fingerprints and read summaries back from the on-disk index.
+        """
+        events = []
+        telemetry = Telemetry()
+        telemetry.add_sink(lambda record: events.append(dict(record)))
+        probes = {}
+        for shards in (0, 2):
+            cache_dir = tmp_path / ("cache%d" % shards)
+            with FleetScheduler(jobs=1, backoff=0.0, telemetry=telemetry,
+                                cache_dir=str(cache_dir),
+                                use_fleet_index=True) as scheduler:
+                for run in ("cold", "warm", "summaries"):
+                    if run == "summaries":
+                        shutil.rmtree(str(cache_dir / "fleet" / "img"))
+                    result = scheduler.run(
+                        [_image_job(image_elf, shards,
+                                    job_id="i%d%s" % (shards, run))]
+                    )[0]
+                    assert result.ok, result.error
+                    if run == "summaries":
+                        assert result.cache.get("summary_hits", 0) > 0
+                    probes[(shards, run)] = (
+                        findings_fingerprint(result.report),
+                        result.report.get("coverage"),
+                    )
+        baseline = probes[(0, "cold")]
+        for key, probe in probes.items():
+            assert probe == baseline, "%s diverged" % (key,)
+        # Both the cold and the summaries-only sharded runs fan out.
+        fanned = [event for event in events
+                  if event["event"] == "shard_plan" and event["shards"] >= 2]
+        assert len(fanned) >= 2
+
     def test_failed_shard_falls_back_to_unsharded(self, image_elf):
         events = []
         telemetry = Telemetry()
@@ -220,65 +257,10 @@ class TestShardIdentity:
 
 
 # ---------------------------------------------------------------------------
-# Shared read-only blocks.
+# Summary blobs shipped from shard tasks to the merge.
 
 
 class TestSharedState:
-    def test_publish_attach_roundtrip(self):
-        payload = b"shard-shared-bytes" * 100
-        block = sharedstate.publish(payload)
-        try:
-            assert sharedstate.attach(block.ref) == payload
-        finally:
-            block.unlink()
-
-    def test_object_roundtrip_and_double_unlink(self):
-        block = sharedstate.publish_object({"records": [1, 2, 3]})
-        assert sharedstate.attach_object(block.ref) == {
-            "records": [1, 2, 3]
-        }
-        block.unlink()
-        block.unlink()      # owner-side release is idempotent
-
-    def test_attach_once_memoises_and_tolerates_unlinked(self):
-        block = sharedstate.publish(b"seed")
-        calls = []
-
-        def apply(data):
-            calls.append(data)
-            return len(data)
-
-        try:
-            assert sharedstate.attach_once(block.ref, apply) == 4
-            assert sharedstate.attach_once(block.ref, apply) == 4
-            assert len(calls) == 1      # second attach served by memo
-        finally:
-            block.unlink()
-        # A vanished block is a cache miss, never an error.
-        gone = ("file", "/nonexistent/dtaint-gone.shared", 4)
-        assert sharedstate.attach_once(gone, apply) is None
-
-    def test_arena_seed_roundtrip(self):
-        from repro.symexec.value import SymConst
-
-        SymConst(0x1234ABCD)        # ensure at least one pooled atom
-        seed = export_arena_seed(max_items=64)
-        assert attach_arena_seed(seed) > 0
-        block = sharedstate.publish(seed)
-        try:
-            assert attach_arena_seed(sharedstate.attach(block.ref)) > 0
-        finally:
-            block.unlink()
-
-    def test_index_segment_roundtrip(self, tmp_path):
-        records = {"c" * 16: b"record-one", "d" * 16: b"record-two"}
-        packed = pack_segment(records)
-        assert load_segment(packed) == records
-        assert load_segment(memoryview(packed)) == records
-        index = FleetIndex(str(tmp_path), "cfg")
-        index.attach_segment(load_segment(packed))
-        assert index._segment == records
-
     def test_summary_cache_blob_shipping(self, tmp_path):
         from repro.pipeline.cache import BoundSummaryCache
 
