@@ -33,15 +33,15 @@
                                  status / wait / findings / events /
                                  cancel / stats / shutdown)
 ``dtaint results``            — migrate a JSON ``--out`` directory
-                                 into the sqlite results store, or
-                                 export a stored run back to JSON
+                                 (the results codec's export format)
+                                 into the sqlite store, or export back
 """
 
 import argparse
 import sys
 
 from repro.core import DTaint, DTaintConfig
-from repro.errors import MalformedInput, ReproError
+from repro.errors import MalformedInput, PipelineError, ReproError
 
 # Distinct exit codes so scripts wrapping the CLI can react to the
 # *kind* of failure, not just "nonzero":
@@ -220,10 +220,13 @@ def _cmd_fleet_scan(args):
     from repro.pipeline import (
         FleetJob,
         FleetScheduler,
-        ResultsStore,
         Telemetry,
+        image_document,
         render_fleet_summary,
+        rollup_document,
+        write_run_dir,
     )
+    from repro.pipeline.results import DELTA_JSON
 
     if args.jobs < 1:
         print("--jobs must be at least 1", file=sys.stderr)
@@ -269,7 +272,7 @@ def _cmd_fleet_scan(args):
     if images:
         from repro.pipeline.scheduler import expand_firmware_jobs
 
-        # Job ids become results-store filenames (images/<id>.json), so
+        # Job ids become results file names (images/<id>.json), so
         # they must not carry path separators; basenames are
         # disambiguated with a counter when two images share one.
         id_counts = {}
@@ -298,13 +301,6 @@ def _cmd_fleet_scan(args):
         print("nothing to scan (no profiles, no --image)", file=sys.stderr)
         return EXIT_USAGE
 
-    telemetry_path = args.telemetry
-    if telemetry_path is None and args.out:
-        telemetry_path = os.path.join(args.out, "telemetry.jsonl")
-    if telemetry_path:
-        os.makedirs(os.path.dirname(telemetry_path) or ".", exist_ok=True)
-    telemetry = Telemetry(path=telemetry_path)
-
     if args.baseline and not args.out:
         print("--baseline requires --out (the delta report is written "
               "there)", file=sys.stderr)
@@ -315,6 +311,21 @@ def _cmd_fleet_scan(args):
         print("--incremental/--baseline need a cache dir (conflicts "
               "with --no-cache)", file=sys.stderr)
         return EXIT_USAGE
+    baseline_docs = None
+    if args.baseline:
+        # Read before scanning: an unusable baseline is a usage error.
+        try:
+            baseline_docs = _baseline_documents(args.baseline)
+        except ReproError as exc:
+            print("bad --baseline: %s" % exc, file=sys.stderr)
+            return EXIT_USAGE
+
+    telemetry_path = args.telemetry
+    if telemetry_path is None and args.out:
+        telemetry_path = os.path.join(args.out, "telemetry.jsonl")
+    if telemetry_path:
+        os.makedirs(os.path.dirname(telemetry_path) or ".", exist_ok=True)
+    telemetry = Telemetry(path=telemetry_path)
     scheduler = FleetScheduler(
         jobs=args.jobs,
         timeout=args.timeout or None,
@@ -330,21 +341,24 @@ def _cmd_fleet_scan(args):
     wall = time.perf_counter() - start
     telemetry.close()
 
-    new_findings = 0
+    # One set of documents feeds both --out and --results-db.
+    rollup = rollup_document(results, wall)
+    images = [image_document(result) for result in results]
+    documents, new_findings = {}, 0
+    if baseline_docs is not None:
+        documents[DELTA_JSON], new_findings = _fleet_baseline_delta(
+            args.baseline, results, baseline_docs
+        )
     if args.out:
-        store = ResultsStore(args.out)
-        for result in results:
-            store.write_image(result)
-        rollup = store.write_rollup(results, wall)
-        print("results: %s" % rollup)
-        if args.baseline:
-            new_findings = _fleet_baseline_delta(args, results, store)
+        written = write_run_dir(args.out, rollup, images, documents)
+        print("results: %s" % written[-1])
     if args.results_db:
         from repro.service import ResultsDB
 
         with ResultsDB(args.results_db) as db:
-            run_id, _images = db.record_run(
-                results, wall, kind="fleet", source=args.out or "",
+            run_id, _images = db.import_run(
+                rollup, images, documents, kind="fleet",
+                source=args.out or "",
             )
         print("results db: %s (run %d)" % (args.results_db, run_id))
     if telemetry_path:
@@ -352,7 +366,7 @@ def _cmd_fleet_scan(args):
     print(render_fleet_summary(results, wall))
     if not all(r.ok for r in results):
         return EXIT_ANALYSIS_FAILED
-    if args.baseline and new_findings and args.fail_on_findings:
+    if new_findings and args.fail_on_findings:
         return EXIT_FINDINGS
     degraded = sum(
         (r.report or {}).get("coverage", {}).get("degraded", 0)
@@ -392,10 +406,10 @@ def _cmd_delta(args):
                     100.0 * stats.get("reuse_ratio", 0.0),
                 ))
     if args.out:
-        from repro.pipeline import ResultsStore
+        from repro.pipeline.results import DELTA_JSON, write_run_dir
 
-        path = ResultsStore(args.out).write_delta(delta_doc)
-        print("delta report: %s" % path)
+        written = write_run_dir(args.out, documents={DELTA_JSON: delta_doc})
+        print("delta report: %s" % written[-1])
     if args.fail_on_new and delta_doc["counts"]["new"]:
         return EXIT_FINDINGS
     return EXIT_OK
@@ -682,46 +696,39 @@ def _cmd_results_export(args):
 
 
 def _baseline_documents(baseline):
-    """Per-image baseline docs from a ``--out`` dir or a sqlite store.
+    """``{job_id: per-image document}`` of the run ``--baseline`` names.
 
-    Accepts the JSON layout (a directory with ``images/*.json``), a
-    results database file, or a directory containing ``dtaint.sqlite``
-    — so a delta can be computed against either generation of store.
+    A results database file, or a directory holding ``dtaint.sqlite``,
+    yields the store's latest run; any other path is read as a JSON
+    ``--out`` directory.  Raises :class:`PipelineError` when the path
+    holds no usable per-image documents.
     """
-    import json
     import os
 
-    db_path = None
-    if os.path.isfile(baseline):
-        db_path = baseline
-    elif os.path.isdir(baseline):
-        from repro.service import default_db_path
+    from repro.pipeline import read_run_dir
+    from repro.service import ResultsDB, default_db_path
 
-        candidate = default_db_path(baseline)
-        if (os.path.isfile(candidate)
-                and not os.path.isdir(os.path.join(baseline, "images"))):
-            db_path = candidate
-    if db_path is not None:
-        from repro.service import ResultsDB
-
+    db_path = baseline
+    if os.path.isdir(baseline):
+        db_path = default_db_path(baseline)
+    if os.path.isfile(db_path):
+        # ResultsDB quarantines (renames) a file that is not sqlite.
+        with open(db_path, "rb") as handle:
+            if handle.read(16) != b"SQLite format 3\x00":
+                raise PipelineError("not a results database: %s" % db_path)
         with ResultsDB(db_path) as db:
-            return db.baseline_documents()
-    documents = {}
-    images_dir = os.path.join(baseline, "images")
-    if os.path.isdir(images_dir):
-        for name in sorted(os.listdir(images_dir)):
-            if name.endswith(".json"):
-                with open(os.path.join(images_dir, name), "r") as handle:
-                    document = json.load(handle)
-                documents[document.get("job_id", name[:-5])] = document
+            documents = db.image_documents(db.latest_run_id())
+    else:
+        _rollup, documents, _documents = read_run_dir(baseline)
+    if not documents:
+        raise PipelineError("no per-image results in %s" % baseline)
     return documents
 
 
-def _fleet_baseline_delta(args, results, store):
-    """--baseline DIR: diff this run's images against a previous run's."""
+def _fleet_baseline_delta(baseline, results, baseline_docs):
+    """--baseline: diff and print; returns ``(delta doc, new count)``."""
     from repro.increment import classify_findings, classify_functions
 
-    baseline_docs = _baseline_documents(args.baseline)
     deltas = {}
     for result in results:
         if not result.ok or result.report is None:
@@ -756,9 +763,7 @@ def _fleet_baseline_delta(args, results, store):
             "new": findings["new"],
             "fixed": findings["fixed"],
         }
-    document = {"baseline": args.baseline, "images": deltas}
-    path = store.write_delta(document)
-    print("baseline delta: %s" % path)
+    print("baseline delta vs %s:" % baseline)
     for job_id in sorted(deltas):
         delta = deltas[job_id]
         if delta.get("status") != "ok":
@@ -768,7 +773,7 @@ def _fleet_baseline_delta(args, results, store):
         print("  %s: %d new, %d fixed, %d persisting (%d closures changed)"
               % (job_id, counts["new"], counts["fixed"],
                  counts["persisting"], len(delta["changed"])))
-    return sum(
+    return {"baseline": baseline, "images": deltas}, sum(
         d["counts"]["new"] for d in deltas.values()
         if d.get("status") == "ok"
     )
@@ -779,7 +784,8 @@ def _cmd_diffcheck(args):
     import os
 
     from repro.diffcheck import ARCHES, DiffCheck
-    from repro.pipeline import ResultsStore, Telemetry
+    from repro.pipeline import Telemetry, write_run_dir
+    from repro.pipeline.results import DIFFCHECK_JSON
 
     if args.count < 1:
         print("--count must be at least 1", file=sys.stderr)
@@ -806,8 +812,10 @@ def _cmd_diffcheck(args):
     else:
         print(report.render())
     if args.out:
-        path = ResultsStore(args.out).write_diffcheck(report.to_dict())
-        print("triage report: %s" % path)
+        written = write_run_dir(
+            args.out, documents={DIFFCHECK_JSON: report.to_dict()}
+        )
+        print("triage report: %s" % written[-1])
     if telemetry_path:
         print("telemetry: %s" % telemetry_path)
     if not report.ok:
@@ -966,9 +974,10 @@ def main(argv=None):
                                  "across binaries by position-independent "
                                  "fingerprint")
     fleet_scan.add_argument("--baseline", metavar="DIR",
-                            help="previous --out directory to diff "
-                                 "against; writes <out>/delta.json with "
-                                 "new/fixed/persisting findings per image "
+                            help="previous --out directory or results "
+                                 "database to diff against; writes "
+                                 "<out>/delta.json with new/fixed/"
+                                 "persisting findings per image "
                                  "(implies --incremental)")
     fleet_scan.add_argument("--fail-on-findings", action="store_true",
                             help="with --baseline: exit %d if any image "

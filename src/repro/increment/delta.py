@@ -25,10 +25,7 @@ byte-identical delta regardless of worker count or exploration order
 — the same determinism contract the golden corpus enforces for scans.
 """
 
-import hashlib
-import json
-
-from repro.pipeline.results import canonical_report
+from repro.pipeline.results import canonical_digest, canonical_report
 
 DELTA_FORMAT_VERSION = 1
 
@@ -139,10 +136,7 @@ def compute_delta(old_image, new_image):
 
 def delta_fingerprint(delta_doc):
     """SHA-256 of the canonical delta bytes (byte-identity checks)."""
-    blob = json.dumps(
-        delta_doc, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    return canonical_digest(delta_doc)
 
 
 def render_delta(delta_doc):

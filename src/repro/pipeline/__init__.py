@@ -10,8 +10,9 @@ The paper evaluates DTaint one image at a time; its workload is a
   ``(binary-sha256, function-addr, config-fingerprint)``;
 * :mod:`repro.pipeline.telemetry` — structured JSONL run events and
   the end-of-run summary table;
-* :mod:`repro.pipeline.results` — canonical per-image findings and
-  the fleet-level rollup.
+* :mod:`repro.pipeline.results` — canonical per-image findings, the
+  fleet-level rollup, and the JSON run directory's one writer and one
+  reader.
 
 The fault-injection entry points the chaos suite and ``--inject`` use
 are re-exported from :mod:`repro.faultinject`, which sits below this
@@ -33,11 +34,12 @@ from repro.pipeline.cache import (
     summary_fingerprint,
 )
 from repro.pipeline.results import (
-    ResultsStore,
     canonical_report,
     findings_fingerprint,
     image_document,
+    read_run_dir,
     rollup_document,
+    write_run_dir,
 )
 from repro.pipeline.scheduler import (
     FleetJob,
@@ -58,7 +60,7 @@ __all__ = [
     "SummaryCache", "ReportCache", "binary_sha256",
     "summary_fingerprint", "report_fingerprint", "collect_garbage",
     "Telemetry", "read_events", "render_fleet_summary",
-    "ResultsStore", "canonical_report", "findings_fingerprint",
-    "image_document", "rollup_document",
+    "canonical_report", "findings_fingerprint",
+    "image_document", "rollup_document", "read_run_dir", "write_run_dir",
     "FaultInjector", "FaultSpec", "injected", "pick_target",
 ]

@@ -1,12 +1,19 @@
-"""Machine-readable fleet results: per-image findings + rollup.
+"""The results codec: canonical per-image findings, the fleet rollup,
+and the JSON run directory they are exported to.
 
-The store writes two kinds of artefact under the output directory:
+A run directory holds:
 
 * ``images/<job-id>.json`` — one file per analysed image holding the
   *canonical* findings document (see :func:`canonical_report`) plus
-  run metadata (status, attempts, timings, cache counters).
+  run metadata (status, attempts, timings, cache counters);
 * ``fleet.json`` — the fleet-level rollup: per-image rows, aggregate
-  counters, and the cache totals.
+  counters, and the cache totals;
+* ``delta.json`` / ``diffcheck.json`` — auxiliary run documents.
+
+Only this module knows that layout: :func:`write_run_dir` is its one
+writer, :func:`read_run_dir` its one reader.  The sqlite store
+(:mod:`repro.service.store`) holds the same documents; JSON is their
+export format.
 
 Canonicalisation exists for one hard requirement: a parallel fleet
 run must produce **byte-identical** findings to a serial run.  Wall
@@ -21,6 +28,7 @@ import json
 import os
 
 from repro import faultinject
+from repro.errors import PipelineError
 
 _FINDING_SORT_KEYS = (
     "function", "sink_name", "sink_addr", "source_name", "source_addr",
@@ -75,23 +83,27 @@ def canonical_report(report_dict):
     return canonical
 
 
-def findings_fingerprint(report_dict):
-    """SHA-256 over the canonical findings document."""
+def canonical_digest(document):
+    """SHA-256 over a document's canonical (sorted, compact) JSON bytes."""
     blob = json.dumps(
-        canonical_report(report_dict), sort_keys=True,
-        separators=(",", ":"),
+        document, sort_keys=True, separators=(",", ":"),
     ).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
+
+
+def findings_fingerprint(report_dict):
+    """SHA-256 over the canonical findings document."""
+    return canonical_digest(canonical_report(report_dict))
 
 
 def image_document(result):
     """The per-image results document for one terminal job result.
 
-    This is the *only* builder of the per-image shape: the JSON store
-    (:class:`ResultsStore`), the sqlite store
+    This is the *only* builder of the per-image shape: the JSON run
+    directory (:func:`write_run_dir`), the sqlite store
     (:class:`repro.service.store.ResultsDB`) and the analysis daemon
     all persist exactly this document, which is what makes migration
-    between the two stores lossless.
+    between the two lossless.
     """
     document = {
         "job_id": result.job.job_id,
@@ -175,12 +187,21 @@ def rollup_document(results, wall_seconds):
     }
 
 
+# ---------------------------------------------------------------------------
+# The JSON run directory: the one writer, the one reader.
+
+IMAGES_DIR = "images"
+ROLLUP_JSON = "fleet.json"
+DELTA_JSON = "delta.json"
+DIFFCHECK_JSON = "diffcheck.json"
+
+
 def _write_json(path, document):
     """Atomic JSON write: tmp + ``os.replace``.
 
     Concurrent fleet workers and a mid-write crash can therefore never
-    leave a torn ``results.json``/rollup on disk — readers see either
-    the previous complete file or the new complete file.  The
+    leave a torn per-image document or rollup on disk — readers see
+    either the previous complete file or the new complete file.  The
     ``results`` fault probe sits between serialisation and the rename,
     modelling a worker dying with the tmp file written but the
     publication step not taken.
@@ -200,42 +221,74 @@ def _write_json(path, document):
     return path
 
 
-class ResultsStore:
-    """Writes per-image findings and the fleet rollup to a directory.
+def write_run_dir(out_dir, rollup=None, images=(), documents=None):
+    """Write a run as the JSON directory layout; returns the paths.
 
-    All writes are atomic (see :func:`_write_json`)."""
-
-    def __init__(self, out_dir):
-        self.out_dir = out_dir
-        os.makedirs(os.path.join(out_dir, "images"), exist_ok=True)
-
-    def write_image(self, result):
-        """Persist one job's result; returns the path written."""
+    ``images`` are per-image documents (:func:`image_document`);
+    ``documents`` maps :data:`DELTA_JSON`/:data:`DIFFCHECK_JSON` to
+    documents; the ``rollup`` is written last, so its path is the last
+    one returned.
+    """
+    images_dir = os.path.join(out_dir, IMAGES_DIR)
+    os.makedirs(images_dir, exist_ok=True)
+    written = []
+    for document in images:
         # A job id with path separators (e.g. derived from an image
-        # path) must not escape the images/ directory — os.path.join
-        # silently discards every prefix before an absolute component.
-        safe_id = str(result.job.job_id).replace(os.sep, "_").lstrip("_")
-        path = os.path.join(
-            self.out_dir, "images", "%s.json" % (safe_id or "job")
-        )
-        return _write_json(path, image_document(result))
+        # path) must not escape images/ — os.path.join silently
+        # discards every prefix before an absolute component.
+        safe_id = str(document["job_id"]).replace(os.sep, "_").lstrip("_")
+        path = os.path.join(images_dir, "%s.json" % (safe_id or "job"))
+        written.append(_write_json(path, document))
+    for name, document in sorted((documents or {}).items()):
+        written.append(_write_json(os.path.join(out_dir, name), document))
+    if rollup:
+        path = os.path.join(out_dir, ROLLUP_JSON)
+        written.append(_write_json(path, rollup))
+    return written
 
-    def write_diffcheck(self, triage_dict):
-        """Persist a differential sweep's triage report.
 
-        ``triage_dict`` is :meth:`repro.diffcheck.TriageReport.to_dict`
-        output: divergence counts, the CI verdict, and one minimized
-        reproducer per divergence.  Returns the path written.
-        """
-        path = os.path.join(self.out_dir, "diffcheck.json")
-        return _write_json(path, triage_dict)
+def read_run_dir(path):
+    """Read a JSON run directory: ``(rollup, {job_id: doc}, {name: doc})``.
 
-    def write_delta(self, delta_doc, name="delta.json"):
-        """Persist a version-delta document; returns the path written."""
-        path = os.path.join(self.out_dir, name)
-        return _write_json(path, delta_doc)
+    ``rollup`` is ``None`` without a ``fleet.json``.  Raises
+    :class:`PipelineError` on a missing directory or one holding no
+    run documents, undecodable JSON, a document that is not an
+    object, and a per-image ``job_id`` that is not a string.
+    """
+    if not os.path.isdir(path):
+        raise PipelineError("not a results directory: %s" % path)
+    rollup = _read_json(os.path.join(path, ROLLUP_JSON))
+    images = {}
+    images_dir = os.path.join(path, IMAGES_DIR)
+    if os.path.isdir(images_dir):
+        for name in sorted(os.listdir(images_dir)):
+            if name.endswith(".json"):
+                document = _read_json(os.path.join(images_dir, name))
+                if not isinstance(document.get("job_id"), str):
+                    raise PipelineError("results document %s: job_id is "
+                                        "not a string" % name)
+                images[document["job_id"]] = document
+    documents = {}
+    for name in (DELTA_JSON, DIFFCHECK_JSON):
+        document = _read_json(os.path.join(path, name))
+        if document is not None:
+            documents[name] = document
+    if rollup is None and not images and not documents:
+        raise PipelineError("no results in %s" % path)
+    return rollup, images, documents
 
-    def write_rollup(self, results, wall_seconds):
-        """Persist ``fleet.json`` summarising the whole run."""
-        path = os.path.join(self.out_dir, "fleet.json")
-        return _write_json(path, rollup_document(results, wall_seconds))
+
+def _read_json(path):
+    """One run document as a dict; ``None`` when the file is absent."""
+    try:
+        with open(path, "r") as handle:
+            document = json.load(handle)
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError) as exc:
+        raise PipelineError("unreadable results document %s: %s"
+                            % (path, exc))
+    if not isinstance(document, dict):
+        raise PipelineError("results document %s is a %s, not an object"
+                            % (path, type(document).__name__))
+    return document

@@ -4,10 +4,10 @@ The paper's fleet (1,463 firmware images, 3.8M functions) is a
 sustained workload, not a one-shot CLI run.  This package turns the
 pipeline into a long-running service:
 
-* :mod:`repro.service.store` — ResultsStore v2: one WAL-mode sqlite
+* :mod:`repro.service.store` — the results store: one WAL-mode sqlite
   file holding runs, per-image canonical findings (indexed), coverage,
   auxiliary documents, the durable job queue and the mirrored
-  telemetry stream; lossless migration to/from the JSON layout;
+  telemetry stream; lossless migration to/from the JSON run directory;
 * :mod:`repro.service.queue` — the durable queue: priorities,
   idempotent submission keyed by image+config fingerprint, crash-safe
   resume;

@@ -23,12 +23,12 @@ that completes the queue row, so a half-processed batch re-runs
 without duplicating history.
 """
 
-import json
 import threading
 import time
 
 from repro import faultinject
 from repro.errors import QueueFull
+from repro.pipeline.results import canonical_digest
 from repro.pipeline.scheduler import FleetJob, FleetScheduler
 from repro.pipeline.telemetry import Telemetry
 from repro.service.queue import (
@@ -309,13 +309,7 @@ def verify_roundtrip(document):
     the stored ``findings_sha256`` exactly.  Returns ``True`` when it
     does.
     """
-    import hashlib
-
     findings = document.get("findings")
     if findings is None:
         return False
-    blob = json.dumps(
-        findings, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
-    return (hashlib.sha256(blob).hexdigest()
-            == document.get("findings_sha256"))
+    return canonical_digest(findings) == document.get("findings_sha256")

@@ -1,8 +1,9 @@
-"""ResultsStore v2: the indexed sqlite results + queue store.
+"""The results store: indexed sqlite results + the job queue.
 
-One WAL-mode sqlite file (``dtaint.sqlite``) replaces the per-run
-``images/*.json`` + ``fleet.json`` document tree with queryable
-history:
+One WAL-mode sqlite file (``dtaint.sqlite``) holds the documents of
+the results codec (:mod:`repro.pipeline.results`) verbatim, with
+queryable history; the codec's JSON run directory is their export
+format, bridged by :func:`migrate_output_dir`/:func:`export_run_dir`:
 
 * ``runs`` — one row per fleet batch (rollup document verbatim);
 * ``images`` — one row per analysed image, carrying the **exact**
@@ -18,19 +19,20 @@ history:
   (:mod:`repro.service.queue`) and the mirrored telemetry stream the
   REST API serves as per-job progress.
 
-Two guarantees carry over from the JSON store:
+Two guarantees hold for every run:
 
 * **canonical-findings fingerprint** — the stored per-image document
   embeds the same canonical findings section and ``findings_sha256``
-  the JSON store writes; migrating a directory into the DB and
-  exporting it back reproduces the documents exactly;
-* **crash safety** — writes happen inside sqlite transactions (WAL
-  journal), so a worker killed mid-write rolls back to the previous
-  consistent state; the ``results`` fault-injection probe fires
-  inside the transaction to prove it.  A database file that cannot
-  even be opened (torn beyond journal recovery, or not sqlite at all)
-  is quarantined to ``<name>.corrupt`` exactly like a corrupt summary
-  bundle, and a fresh store is started in its place.
+  a JSON export carries; migrating a directory into the DB and
+  exporting it back reproduces the files byte for byte;
+* **crash safety** — every run publishes in one sqlite transaction
+  (:meth:`ResultsDB.import_run`, WAL journal), so a worker killed
+  mid-write rolls back to the previous consistent state; the
+  ``results`` fault-injection probe fires inside the transaction to
+  prove it.  A database file that cannot even be opened (torn beyond
+  journal recovery, or not sqlite at all) is quarantined to
+  ``<name>.corrupt`` exactly like a corrupt summary bundle, and a
+  fresh store is started in its place.
 """
 
 import json
@@ -43,9 +45,10 @@ import zlib
 from repro import faultinject
 from repro.errors import PipelineError
 from repro.pipeline.results import (
-    _write_json,
     image_document,
+    read_run_dir,
     rollup_document,
+    write_run_dir,
 )
 
 # v2: adds the image_quarantine table (per-image crash circuit
@@ -277,13 +280,24 @@ class ResultsDB:
 
     def record_run(self, results, wall_seconds, kind="fleet", source="",
                    queue_job_ids=None, finisher=None):
-        """Persist one fleet batch; returns ``(run_id, job->image map)``.
+        """Build one batch's documents and :meth:`import_run` them."""
+        return self.import_run(
+            rollup_document(results, wall_seconds),
+            [image_document(result) for result in results],
+            kind=kind, source=source, queue_job_ids=queue_job_ids,
+            finisher=finisher,
+        )
 
-        The whole batch is one transaction: the ``results``
-        fault-injection probe fires between the inserts and the
-        commit, modelling a daemon killed mid-publication — the
-        journal rolls everything back and the previous history stays
-        intact.
+    def import_run(self, rollup, images=(), documents=None,
+                   kind="migrated", source="", queue_job_ids=None,
+                   finisher=None):
+        """Publish one run's documents; returns ``(run_id, job->image map)``.
+
+        The one publish path.  The whole run is one transaction: the
+        ``results`` fault-injection probe fires between the inserts
+        and the commit, modelling a daemon killed mid-publication —
+        the journal rolls everything back and the previous history
+        stays intact.
 
         ``finisher(conn, run_id, image_ids)``, when given, runs inside
         the *same* transaction — the daemon uses it to mark queue rows
@@ -291,49 +305,31 @@ class ResultsDB:
         crash point can separate "results published" from "job
         completed" (the pair either both commit or both roll back).
         """
-        rollup = rollup_document(results, wall_seconds)
+        rollup = rollup or {}
         queue_job_ids = queue_job_ids or {}
         with self._transaction() as conn:
-            run_id = self._insert_run(conn, kind, source, wall_seconds,
-                                      rollup)
+            run_id = conn.execute(
+                "INSERT INTO runs(kind, source, started_ts, wall_seconds, "
+                "rollup_json) VALUES (?, ?, ?, ?, ?)",
+                (kind, source, time.time(), rollup.get("wall_seconds", 0.0),
+                 _dumps(rollup)),
+            ).lastrowid
             image_ids = {}
-            for result in results:
-                document = image_document(result)
-                image_ids[result.job.job_id] = self._insert_image(
-                    conn, run_id, document,
-                    queue_job_ids.get(result.job.job_id),
+            for document in images:
+                job_id = document.get("job_id", "")
+                image_ids[job_id] = self._insert_image(
+                    conn, run_id, document, queue_job_ids.get(job_id),
                 )
-            if finisher is not None:
-                finisher(conn, run_id, image_ids)
-            faultinject.check("results", self.basename)
-        return run_id, image_ids
-
-    def import_run(self, rollup, image_documents, documents=None,
-                   kind="migrated", source=""):
-        """Insert pre-built documents (migration path); returns run_id."""
-        with self._transaction() as conn:
-            run_id = self._insert_run(
-                conn, kind, source,
-                (rollup or {}).get("wall_seconds", 0.0), rollup or {},
-            )
-            for document in image_documents:
-                self._insert_image(conn, run_id, document, None)
             for name, document in sorted((documents or {}).items()):
                 conn.execute(
                     "INSERT OR REPLACE INTO documents"
                     "(run_id, name, document_json) VALUES (?, ?, ?)",
                     (run_id, name, _dumps(document)),
                 )
+            if finisher is not None:
+                finisher(conn, run_id, image_ids)
             faultinject.check("results", self.basename)
-        return run_id
-
-    def _insert_run(self, conn, kind, source, wall_seconds, rollup):
-        cursor = conn.execute(
-            "INSERT INTO runs(kind, source, started_ts, wall_seconds, "
-            "rollup_json) VALUES (?, ?, ?, ?, ?)",
-            (kind, source, time.time(), wall_seconds, _dumps(rollup)),
-        )
-        return cursor.lastrowid
+        return run_id, image_ids
 
     def _insert_image(self, conn, run_id, document, queue_job_id):
         cursor = conn.execute(
@@ -442,7 +438,7 @@ class ResultsDB:
         return json.loads(row["document_json"]) if row else None
 
     def export_run(self, run_id):
-        """Everything one run persisted, as plain documents."""
+        """One run's documents, as ``write_run_dir`` keyword arguments."""
         with self._lock:
             documents = {
                 row["name"]: json.loads(row["document_json"])
@@ -453,21 +449,9 @@ class ResultsDB:
             }
         return {
             "rollup": self.rollup(run_id),
-            "images": self.image_documents(run_id),
+            "images": list(self.image_documents(run_id).values()),
             "documents": documents,
         }
-
-    def baseline_documents(self, run_id=None):
-        """Per-image documents to diff a new run against (latest run).
-
-        This is the DB-backed equivalent of reading a previous
-        ``--out`` directory's ``images/*.json``: ``fleet-scan
-        --baseline`` accepts either form.
-        """
-        run_id = run_id if run_id is not None else self.latest_run_id()
-        if run_id is None:
-            return {}
-        return self.image_documents(run_id)
 
     def query_findings(self, function=None, kind=None, section=None,
                        run_id=None, limit=200):
@@ -701,76 +685,29 @@ def _file_size(path):
 
 
 # ---------------------------------------------------------------------------
-# Migration (``dtaint results migrate`` / ``export``).
+# Migration (``dtaint results migrate`` / ``export``): bridges to the
+# JSON run directory of :mod:`repro.pipeline.results`.
 
 
 def migrate_output_dir(db, out_dir):
     """Import a JSON ``--out`` directory into the sqlite store.
 
-    Reads ``fleet.json`` (optional), every ``images/*.json``, and the
-    auxiliary ``delta.json`` / ``diffcheck.json`` documents; inserts
-    them verbatim as one run.  Returns ``(run_id, counts)``.  The
-    import is lossless: :meth:`ResultsDB.export_run` reproduces every
-    document exactly.
+    Inserts the directory's documents verbatim as one run and returns
+    ``(run_id, counts)``.  The import is lossless:
+    :func:`export_run_dir` reproduces every file byte for byte.
     """
-    if not os.path.isdir(out_dir):
-        raise PipelineError("not an output directory: %s" % out_dir)
-    rollup = _load_json(os.path.join(out_dir, "fleet.json"))
-    image_docs = []
-    images_dir = os.path.join(out_dir, "images")
-    if os.path.isdir(images_dir):
-        for name in sorted(os.listdir(images_dir)):
-            if name.endswith(".json"):
-                image_docs.append(
-                    _load_json(os.path.join(images_dir, name))
-                )
-    documents = {}
-    for name in ("delta.json", "diffcheck.json"):
-        document = _load_json(os.path.join(out_dir, name))
-        if document is not None:
-            documents[name] = document
-    if rollup is None and not image_docs and not documents:
-        raise PipelineError("nothing to migrate in %s" % out_dir)
-    run_id = db.import_run(
-        rollup or {}, image_docs, documents,
+    rollup, images, documents = read_run_dir(out_dir)
+    run_id, _image_ids = db.import_run(
+        rollup, images.values(), documents,
         kind="migrated", source=os.path.abspath(out_dir),
     )
     return run_id, {
-        "images": len(image_docs),
+        "images": len(images),
         "documents": len(documents),
         "rollup": int(rollup is not None),
     }
 
 
 def export_run_dir(db, run_id, out_dir):
-    """Write one run back out as the JSON directory layout.
-
-    The inverse of :func:`migrate_output_dir`: files go through the
-    JSON store's own atomic writer, so a migrate → export round trip is
-    byte-identical and a failed export never leaves a torn file.
-    """
-    exported = db.export_run(run_id)
-    os.makedirs(os.path.join(out_dir, "images"), exist_ok=True)
-    written = []
-    if exported["rollup"]:
-        written.append(_write_json(
-            os.path.join(out_dir, "fleet.json"), exported["rollup"]
-        ))
-    for job_id, document in exported["images"].items():
-        written.append(_write_json(
-            os.path.join(out_dir, "images", "%s.json" % job_id), document
-        ))
-    for name, document in exported["documents"].items():
-        written.append(_write_json(os.path.join(out_dir, name), document))
-    return written
-
-
-def _load_json(path):
-    try:
-        with open(path, "r") as handle:
-            return json.load(handle)
-    except FileNotFoundError:
-        return None
-    except ValueError as exc:
-        raise PipelineError("unreadable results document %s: %s"
-                            % (path, exc))
+    """Write one stored run back out as a JSON run directory."""
+    return write_run_dir(out_dir, **db.export_run(run_id))

@@ -153,7 +153,8 @@ class SymLin(SymExpr):
     """Canonical linear form: ``sum(coef * atom) + const``.
 
     ``terms`` is a tuple of ``(atom, coef)`` pairs sorted by the
-    canonical atom order, with non-zero integer coefficients;
+    canonical atom order, with non-zero integer coefficients; the
+    coefficients and ``const`` are signed 32-bit values;
     invariant: at least one term, and not the degenerate
     single-term/coef-1/const-0 case (that is just the atom).  The
     constructor asserts the invariant — build through
@@ -332,11 +333,17 @@ def _to_linear(expr):
 
 
 def _from_linear(terms, const):
-    terms = {atom: coef for atom, coef in terms.items() if coef != 0}
+    # Signed 32-bit coefficients and const: ``x * 0xffffffff`` is ``-x``.
+    terms = {
+        atom: coef if -0x80000000 <= coef <= 0x7FFFFFFF else _signed(coef)
+        for atom, coef in terms.items() if coef & 0xFFFFFFFF
+    }
     if not terms:
         # Pure constants are canonically unsigned 32-bit; symbolic
         # offsets stay signed inside SymLin.const.
         return SymConst(const & _MASK32)
+    if not -0x80000000 <= const <= 0x7FFFFFFF:
+        const = _signed(const)
     if len(terms) == 1 and const == 0:
         (atom, coef), = terms.items()
         if coef == 1:
@@ -368,6 +375,8 @@ def mk_add(a, b):
             return a
         if isinstance(a, SymLin):
             const = a.const + delta
+            if not -0x80000000 <= const <= 0x7FFFFFFF:
+                const = _signed(const)
             if const == 0 and len(a.terms) == 1 and a.terms[0][1] == 1:
                 return a.terms[0][0]
             return SymLin(a.terms, const)

@@ -13,8 +13,8 @@ Acceptance properties:
   the changed Merkle closure;
 * delta reports classify the injected patch as `fixed` with nothing
   spurious, and a self-delta is empty and byte-identical;
-* `cache gc` prunes quarantine/tmp/stale-version files; ResultsStore
-  writes are atomic under injected mid-write faults.
+* `cache gc` prunes quarantine/tmp/stale-version files; JSON run
+  directory writes are atomic under injected mid-write faults.
 """
 
 import json
@@ -52,7 +52,12 @@ from repro.pipeline import (
     findings_fingerprint,
 )
 from repro.pipeline.cache import CACHE_FORMAT_VERSION, summary_fingerprint
-from repro.pipeline.results import ResultsStore
+from repro.pipeline.results import (
+    image_document,
+    read_run_dir,
+    rollup_document,
+    write_run_dir,
+)
 
 SCALE = 0.05
 KEY = "dir645"
@@ -428,13 +433,13 @@ class TestAtomicResults:
 
     def test_mid_write_fault_leaves_previous_file_intact(self, tmp_path):
         result = self._result(tmp_path)
-        store = ResultsStore(str(tmp_path / "out"))
-        first = store.write_rollup([result], 1.0)
+        out_dir = str(tmp_path / "out")
+        first, = write_run_dir(out_dir, rollup_document([result], 1.0))
         with open(first) as handle:
             before = handle.read()
         with injected(["malformed@results:fleet.json"]):
             with pytest.raises(MalformedInput):
-                store.write_rollup([result], 2.0)
+                write_run_dir(out_dir, rollup_document([result], 2.0))
         with open(first) as handle:
             assert handle.read() == before
         leftovers = [
@@ -442,21 +447,21 @@ class TestAtomicResults:
             if ".tmp." in name
         ]
         assert leftovers == []
-        # The store recovers once the fault is gone.
-        store.write_rollup([result], 3.0)
+        # The writer recovers once the fault is gone.
+        write_run_dir(out_dir, rollup_document([result], 3.0))
         with open(first) as handle:
             assert json.load(handle)["wall_seconds"] == 3.0
 
     def test_image_write_is_atomic_under_fault(self, tmp_path):
         result = self._result(tmp_path)
-        store = ResultsStore(str(tmp_path / "out"))
+        out_dir = str(tmp_path / "out")
         target = "%s.json" % result.job.job_id
         with injected(["malformed@results:%s" % target]):
             with pytest.raises(MalformedInput):
-                store.write_image(result)
+                write_run_dir(out_dir, images=[image_document(result)])
         images = os.listdir(str(tmp_path / "out" / "images"))
         assert images == []
-        path = store.write_image(result)
+        path, = write_run_dir(out_dir, images=[image_document(result)])
         with open(path) as handle:
             assert json.load(handle)["status"] == "ok"
 
@@ -502,3 +507,80 @@ class TestCLI:
         assert "removed 1 corrupt" in capsys.readouterr().out
         assert not os.path.exists(os.path.join(root, "reports",
                                                "x.json.corrupt"))
+
+
+def _fleet_scan(cache_dir, out_dir, *extra):
+    from repro.cli import main
+
+    return main([
+        "fleet-scan", "dir645", "--scale", "0.05", "--jobs", "1",
+        "--cache-dir", cache_dir, "--out", out_dir,
+    ] + list(extra))
+
+
+def _delta_images(out_dir):
+    with open(os.path.join(out_dir, "delta.json")) as handle:
+        return json.load(handle)["images"]
+
+
+@pytest.fixture(scope="module")
+def baseline_run(tmp_path_factory):
+    """One incremental dir645 run, recorded to a JSON dir and a DB."""
+    root = tmp_path_factory.mktemp("baseline")
+    paths = {
+        "cache": str(root / "cache"),
+        "out": str(root / "out"),
+        "db": str(root / "db" / "dtaint.sqlite"),
+    }
+    assert _fleet_scan(paths["cache"], paths["out"], "--incremental",
+                       "--results-db", paths["db"]) == 0
+    return paths
+
+
+class TestFleetScanBaseline:
+    def test_json_and_sqlite_baselines_agree(self, baseline_run, tmp_path):
+        from_json, from_db = str(tmp_path / "json"), str(tmp_path / "db")
+        assert _fleet_scan(baseline_run["cache"], from_json,
+                           "--baseline", baseline_run["out"]) == 0
+        assert _fleet_scan(baseline_run["cache"], from_db,
+                           "--baseline", baseline_run["db"]) == 0
+        images = _delta_images(from_json)
+        assert images["dir645"]["status"] == "ok"
+        assert images["dir645"]["counts"]["new"] == 0
+        assert images == _delta_images(from_db)
+
+    def test_missing_baseline_exits_usage(self, baseline_run, tmp_path,
+                                          capsys):
+        from repro.cli import EXIT_USAGE
+
+        code = _fleet_scan(baseline_run["cache"], str(tmp_path / "out"),
+                           "--baseline", str(tmp_path / "no-such-run"))
+        assert code == EXIT_USAGE
+        assert "bad --baseline" in capsys.readouterr().err
+
+    def test_non_database_file_exits_usage_untouched(self, baseline_run,
+                                                     tmp_path):
+        from repro.cli import EXIT_USAGE
+
+        rollup = os.path.join(baseline_run["out"], "fleet.json")
+        with open(rollup, "rb") as handle:
+            before = handle.read()
+        code = _fleet_scan(baseline_run["cache"], str(tmp_path / "out"),
+                           "--baseline", rollup)
+        assert code == EXIT_USAGE
+        with open(rollup, "rb") as handle:
+            assert handle.read() == before
+
+    def test_removed_findings_fail_on_findings(self, baseline_run,
+                                               tmp_path):
+        from repro.cli import EXIT_FINDINGS
+
+        rollup, images, _ = read_run_dir(baseline_run["out"])
+        findings = images["dir645"]["findings"]
+        findings["vulnerabilities"] = findings["vulnerable_paths"] = []
+        edited = str(tmp_path / "edited")
+        write_run_dir(edited, rollup, images.values())
+        out_dir = str(tmp_path / "out")
+        assert _fleet_scan(baseline_run["cache"], out_dir, "--baseline",
+                           edited, "--fail-on-findings") == EXIT_FINDINGS
+        assert _delta_images(out_dir)["dir645"]["counts"]["new"] > 0

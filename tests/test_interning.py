@@ -10,7 +10,7 @@ import copy
 import pickle
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.ir.expr import Ops
@@ -156,6 +156,13 @@ def test_structural_equality_is_identity(x, y):
 
 
 @given(exprs, exprs)
+# Scaling by an unsigned constant used to leave the coefficient and
+# const unwrapped, so this pair round-tripped to const=0x100000000.
+@example(
+    x=mk_mul(SymConst(0xFFFFFFFF), SymDeref(SymConst(0), 4)),
+    y=mk_mul(SymConst(0xFFFFFFFF),
+             mk_add(SymDeref(SymConst(0), 4), SymConst(1))),
+)
 def test_add_sub_roundtrips_to_same_object(x, y):
     assert mk_sub(mk_add(x, y), y) is x
     assert mk_add(mk_sub(x, y), y) is x

@@ -1,7 +1,9 @@
 """Malformed-input corpus: every broken file fails *typed*, never raw.
 
 The loader and the firmware extractors sit on the trust boundary: the
-bytes they parse come off flash images.  The contract under test is
+bytes they parse come off flash images.  A results directory handed
+back to ``results migrate`` or ``fleet-scan --baseline`` is another
+such input, and fails as :class:`PipelineError`.  The contract under test is
 that any corruption — truncation at every offset, seeded bit flips,
 zero-length files, forged header fields — surfaces as the typed
 :class:`MalformedInput` hierarchy (``ELFError`` / ``FirmwareError``)
@@ -9,13 +11,16 @@ and **never** as ``struct.error``, ``IndexError``, ``MemoryError`` or
 a hang.
 """
 
+import os
 import random
 import struct
 
 import pytest
 
 from repro.corpus.profiles import build_firmware
-from repro.errors import ELFError, FirmwareError, MalformedInput
+from repro.cli import EXIT_USAGE
+from repro.cli import main as cli_main
+from repro.errors import ELFError, FirmwareError, MalformedInput, PipelineError
 from repro.firmware import binwalk
 from repro.firmware.image import (
     pack_trx,
@@ -26,6 +31,7 @@ from repro.firmware.image import (
 from repro.firmware.simplefs import SimpleFS
 from repro.loader.binary import load_elf
 from repro.loader.elf import ElfFile
+from repro.service import ResultsDB, migrate_output_dir
 
 
 @pytest.fixture(scope="module")
@@ -276,3 +282,41 @@ class TestBoundedAllocation:
         with pytest.raises(ELFError) as excinfo:
             ElfFile.parse(elf)
         assert "mapping budget" in str(excinfo.value)
+
+
+class TestMalformedRunDir:
+    """Broken JSON run directories fail typed, in every reader."""
+
+    CASES = {
+        "non_object": ("images/a.json", "[1, 2]"),
+        "undecodable": ("images/a.json", '{"job_id": "a", '),
+        "job_id_not_string": ("images/a.json", '{"job_id": 7}'),
+        "empty": ("telemetry.jsonl", ""),
+    }
+
+    @pytest.fixture(params=sorted(CASES))
+    def run_dir(self, request, tmp_path):
+        relative, text = self.CASES[request.param]
+        path = tmp_path / "run" / relative
+        path.parent.mkdir(parents=True)
+        path.write_text(text)
+        return str(tmp_path / "run")
+
+    def test_migrate_raises_pipeline_error(self, run_dir, tmp_path):
+        with ResultsDB(str(tmp_path / "dtaint.sqlite")) as db:
+            with pytest.raises(PipelineError):
+                migrate_output_dir(db, run_dir)
+            assert db.run_ids() == []
+
+    def test_fleet_scan_baseline_exits_usage(self, run_dir, tmp_path,
+                                             capsys):
+        out_dir = str(tmp_path / "out")
+        code = cli_main([
+            "fleet-scan", "dir645", "--scale", "0.05", "--jobs", "1",
+            "--cache-dir", str(tmp_path / "cache"), "--out", out_dir,
+            "--baseline", run_dir,
+        ])
+        assert code == EXIT_USAGE
+        assert "bad --baseline" in capsys.readouterr().err
+        # Rejected before scanning: nothing was written.
+        assert not os.path.exists(out_dir)

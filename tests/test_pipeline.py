@@ -25,17 +25,19 @@ from repro.pipeline import (
     FleetJob,
     FleetScheduler,
     ReportCache,
-    ResultsStore,
     SummaryCache,
     Telemetry,
     binary_sha256,
     canonical_report,
     execute_job,
     findings_fingerprint,
+    image_document,
     read_events,
     render_fleet_summary,
     report_fingerprint,
+    rollup_document,
     summary_fingerprint,
+    write_run_dir,
 )
 
 SCALE = 0.05
@@ -320,13 +322,15 @@ class TestTelemetryAndResults:
             _profile_job("dir645"),
             _profile_job("dir890l", fault="crash", fault_attempts=10 ** 6),
         ])
-        store = ResultsStore(str(tmp_path))
-        for result in results:
-            image_path = store.write_image(result)
+        written = write_run_dir(
+            str(tmp_path), rollup_document(results, wall_seconds=1.0),
+            [image_document(result) for result in results],
+        )
+        for result, image_path in zip(results, written):
             with open(image_path) as handle:
                 document = json.load(handle)
             assert document["status"] == result.status
-        rollup_path = store.write_rollup(results, wall_seconds=1.0)
+        rollup_path = written[-1]
         with open(rollup_path) as handle:
             rollup = json.load(handle)
         assert rollup["totals"]["jobs"] == 2

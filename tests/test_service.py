@@ -6,7 +6,7 @@ Covers the acceptance properties of DTaint-as-a-service:
   crashed workers without losing isolation;
 * queue lifecycle: idempotent submission, priority ordering,
   submit → cancel, crash-safe resume on daemon restart;
-* ResultsStore v2: record/export round trips, lossless migration of a
+* the sqlite results store: record/export round trips, lossless migration of a
   JSON output directory, fault-injected mid-write rollback, corrupt
   database quarantine, retention GC;
 * end-to-end REST: submit over HTTP, poll to completion, query
@@ -28,10 +28,12 @@ from repro.pipeline import (
     FleetJob,
     FleetScheduler,
     JobResult,
-    ResultsStore,
     WorkerPool,
     execute_job,
     findings_fingerprint,
+    image_document,
+    rollup_document,
+    write_run_dir,
 )
 from repro.service import (
     AnalysisDaemon,
@@ -231,8 +233,8 @@ class TestResultsDB:
     def test_record_run_round_trips_image_documents(self, tmp_path,
                                                     elf_path):
         result = _job_result(elf_path)
-        store = ResultsStore(str(tmp_path / "out"))
-        json_path = store.write_image(result)
+        json_path, = write_run_dir(str(tmp_path / "out"),
+                                   images=[image_document(result)])
         with open(json_path) as handle:
             json_doc = json.load(handle)
         db = ResultsDB(str(tmp_path / "dtaint.sqlite"))
@@ -314,13 +316,13 @@ class TestResultsDB:
 class TestMigration:
     def _populated_out_dir(self, tmp_path, elf_path):
         out_dir = str(tmp_path / "out")
-        store = ResultsStore(out_dir)
         results = [_job_result(elf_path, job_id="img-a"),
                    _job_result(elf_path, job_id="img-b")]
-        for result in results:
-            store.write_image(result)
-        store.write_rollup(results, 2.5)
-        store.write_delta({"baseline": "x", "images": {}})
+        write_run_dir(
+            out_dir, rollup_document(results, 2.5),
+            [image_document(result) for result in results],
+            {"delta.json": {"baseline": "x", "images": {}}},
+        )
         return out_dir
 
     def test_migrate_is_lossless(self, tmp_path, elf_path):
@@ -331,10 +333,11 @@ class TestMigration:
         exported = db.export_run(run_id)
         with open(os.path.join(out_dir, "fleet.json")) as handle:
             assert exported["rollup"] == json.load(handle)
+        images = {doc["job_id"]: doc for doc in exported["images"]}
         for job_id in ("img-a", "img-b"):
             with open(os.path.join(
                     out_dir, "images", "%s.json" % job_id)) as handle:
-                assert exported["images"][job_id] == json.load(handle)
+                assert images[job_id] == json.load(handle)
         with open(os.path.join(out_dir, "delta.json")) as handle:
             assert exported["documents"]["delta.json"] == json.load(handle)
         db.close()
@@ -390,6 +393,44 @@ class TestMigration:
         assert os.path.exists(
             os.path.join(export_dir, "images", "img-a.json")
         )
+
+    def test_export_keeps_job_ids_inside_images_dir(self, tmp_path):
+        # Stored job ids are data, not paths: an absolute id or a
+        # parent reference must not write outside out_dir/images/.
+        escaped = str(tmp_path / "abs.0")
+        db = ResultsDB(str(tmp_path / "dtaint.sqlite"))
+        db.import_run({}, [{"job_id": escaped, "status": "ok"},
+                           {"job_id": "../up", "status": "ok"}])
+        out_dir = str(tmp_path / "export")
+        written = export_run_dir(db, db.latest_run_id(), out_dir)
+        db.close()
+        images_dir = os.path.join(out_dir, "images")
+        assert len(written) == 2
+        for path in written:
+            assert os.path.dirname(os.path.abspath(path)) == images_dir
+            assert os.path.isfile(path)
+        assert not os.path.exists(escaped + ".json")
+        assert not os.path.exists(os.path.join(out_dir, "up.json"))
+
+    def test_round_trip_reproduces_sanitised_file_names(self, tmp_path,
+                                                        elf_path):
+        out_dir = str(tmp_path / "out")
+        result = _job_result(elf_path, job_id="fw.bin/bin/httpd.0")
+        write_run_dir(out_dir, rollup_document([result], 1.0),
+                      [image_document(result)])
+        db = ResultsDB(str(tmp_path / "dtaint.sqlite"))
+        run_id, _ = migrate_output_dir(db, out_dir)
+        export_dir = str(tmp_path / "export")
+        export_run_dir(db, run_id, export_dir)
+        db.close()
+        names = os.listdir(os.path.join(out_dir, "images"))
+        assert names == ["fw.bin_bin_httpd.0.json"]
+        assert os.listdir(os.path.join(export_dir, "images")) == names
+        for relative in ("fleet.json", os.path.join("images", names[0])):
+            with open(os.path.join(out_dir, relative), "rb") as handle:
+                original = handle.read()
+            with open(os.path.join(export_dir, relative), "rb") as handle:
+                assert handle.read() == original, relative
 
     def test_migrate_rejects_empty_dir(self, tmp_path):
         db = ResultsDB(str(tmp_path / "dtaint.sqlite"))

@@ -263,16 +263,16 @@ class TestResultsStorePaths:
         # Firmware job ids can derive from image paths; an absolute
         # component must not escape the output directory via
         # os.path.join's prefix-discarding behaviour.
-        from repro.pipeline.results import ResultsStore
+        from repro.pipeline.results import image_document, write_run_dir
         from repro.pipeline.scheduler import FleetJob, JobResult
 
-        store = ResultsStore(str(tmp_path / "out"))
         result = JobResult(
             job=FleetJob("/tmp/evil.bin.0", kind="firmware",
                          path="/tmp/evil.bin", member="x"),
             status="ok", report={"vulnerabilities": []}, sha256="0" * 64,
         )
-        written = store.write_image(result)
+        written, = write_run_dir(str(tmp_path / "out"),
+                                 images=[image_document(result)])
         images_dir = str(tmp_path / "out" / "images")
         assert written.startswith(images_dir)
         assert "/" not in written[len(images_dir) + 1:]
