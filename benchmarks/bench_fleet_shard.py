@@ -25,7 +25,11 @@ not variability in the code under test.
 
 Identity gate: the findings fingerprints of every run must be
 byte-identical — sharding may only ever change the schedule, never the
-findings.  A divergence exits nonzero regardless of flags.  Outside
+findings.  The same ELF is also packed into a TRX firmware image and
+scanned as a ``kind='firmware'`` job at the same shard count with no
+retries (``firmware`` in the output): a quarantined job or a
+fingerprint that differs from the ELF runs also fails.  A divergence
+exits nonzero regardless of flags.  Outside
 ``--quick`` the run also fails unless ``speedup`` reaches
 ``--min-speedup`` (default 1.0: sharding must not lose to the
 unsharded run).
@@ -49,9 +53,12 @@ sys.path.insert(
 )
 
 from repro.corpus.profiles import (  # noqa: E402
+    PROFILES,
     analyzed_module_prefixes,
     build_firmware,
 )
+from repro.firmware.image import pack_trx  # noqa: E402
+from repro.firmware.simplefs import SimpleFS  # noqa: E402
 from repro.pipeline.results import findings_fingerprint  # noqa: E402
 from repro.pipeline.scheduler import FleetJob, FleetScheduler  # noqa: E402
 from repro.pipeline.telemetry import Telemetry  # noqa: E402
@@ -62,16 +69,17 @@ DEFAULT_BASELINE = os.path.join(REPO_ROOT, "BENCH_fleet_shard.json")
 IMAGE = "hikvision"
 
 
-def _run_config(elf_path, modules, shards, jobs):
+def _run_config(path, modules, shards, jobs, kind="elf", retries=1):
     """One fleet run; returns (fingerprint, wall, task walls, report)."""
     events = []
     telemetry = Telemetry()
     telemetry.add_sink(lambda record: events.append(dict(record)))
-    scheduler = FleetScheduler(jobs=jobs, retries=1, telemetry=telemetry)
+    scheduler = FleetScheduler(jobs=jobs, retries=retries,
+                               telemetry=telemetry)
     try:
         start = time.perf_counter()
         results = scheduler.run([
-            FleetJob(job_id="bench", kind="elf", path=elf_path,
+            FleetJob(job_id="bench", kind=kind, path=path,
                      modules=modules, shards=shards),
         ])
         wall = time.perf_counter() - start
@@ -95,7 +103,10 @@ def _run_config(elf_path, modules, shards, jobs):
             merge = event["ts"] - starts[("merge", -1)]
     tasks = {"plan": plan, "exec": sorted(execs, reverse=True),
              "merge": merge}
-    return findings_fingerprint(result.report), wall, tasks, result.report
+    # The report's ``binary`` is the job's display name (the image
+    # path, plus the member for firmware jobs), not analysis output.
+    fingerprint = findings_fingerprint(dict(result.report, binary=""))
+    return fingerprint, wall, tasks, result.report
 
 
 def _run_isolated(elf_path, modules, shards, jobs):
@@ -153,6 +164,19 @@ def run_bench(scale, shards, workers, quick=False, trials=1):
              for name, config_runs in runs.items()}
     tasks_one = min(runs["sharded_1w"], key=lambda run: run[1])[2]
     speedup = walls["unsharded"] / walls[many] if walls[many] else 0.0
+
+    # The same bytes as a firmware member: no retry budget, so a
+    # failed shard task quarantines the job and exits nonzero.
+    rootfs = SimpleFS()
+    rootfs.add_file("/bin/%s" % PROFILES[IMAGE].binary_name,
+                    built.elf_bytes)
+    firmware_path = os.path.join(workdir, "%s.trx" % IMAGE)
+    with open(firmware_path, "wb") as handle:
+        handle.write(pack_trx(b"KERNELKERNEL", rootfs.pack()))
+    firmware_fp, _wall, _tasks, _report = _run_config(
+        firmware_path, modules, shards, workers, kind="firmware",
+        retries=0,
+    )
     return {
         "image": IMAGE,
         "scale": scale,
@@ -163,6 +187,8 @@ def run_bench(scale, shards, workers, quick=False, trials=1):
         "trials": max(1, trials),
         "fingerprints": {name: fps[0] for name, fps in fingerprints.items()},
         "findings_identical": len(every) == 1,
+        "firmware": {"fingerprint": firmware_fp,
+                     "identical": every == {firmware_fp}},
         "runs": {name: [round(run[1], 3) for run in config_runs]
                  for name, config_runs in runs.items()},
         "wall_seconds": {name: round(wall, 3)
@@ -243,6 +269,10 @@ def main():
 
     if not results["findings_identical"]:
         print("FAIL: sharded findings diverge from the unsharded run",
+              file=sys.stderr)
+        return 1
+    if not results["firmware"]["identical"]:
+        print("FAIL: the sharded firmware job diverges from the ELF runs",
               file=sys.stderr)
         return 1
     if not args.quick and results["speedup"] < args.min_speedup:

@@ -36,7 +36,10 @@ Two addressing schemes coexist, from most to least specific:
   relinking, version rebuilds and cross-image duplication; a hit pays
   a relocation pass.  :class:`repro.increment.reuse.
   IncrementalSummaryCache` layers it behind the binary-scoped bundle,
-  back-filling the bundle on every fleet hit.
+  back-filling the bundle on every fleet hit.  With the fleet index
+  on, its image layer replaces :class:`ReportCache` as the one
+  whole-report store, for reads and writes alike
+  (:class:`repro.pipeline.scheduler.JobCache` holds that policy).
 
 Both layers share ``config-fingerprint`` semantics (only the knobs
 that shape the artefact participate) and ``CACHE_FORMAT_VERSION``.

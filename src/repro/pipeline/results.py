@@ -54,13 +54,16 @@ _COVERAGE_FIELDS = (
 )
 
 
+_FINDING_SECTIONS = ("vulnerable_paths", "vulnerabilities",
+                     "sanitized_paths")
+
+
 def canonical_report(report_dict):
     """Strip a report dict down to its run-independent analysis output."""
     canonical = {
         name: report_dict.get(name) for name in _REPORT_COUNTERS
     }
-    for section in ("vulnerable_paths", "vulnerabilities",
-                    "sanitized_paths"):
+    for section in _FINDING_SECTIONS:
         findings = report_dict.get(section, []) or []
         canonical[section] = sorted(findings, key=_finding_key)
     coverage = report_dict.get("coverage", {}) or {}
@@ -253,7 +256,9 @@ def read_run_dir(path):
     ``rollup`` is ``None`` without a ``fleet.json``.  Raises
     :class:`PipelineError` on a missing directory or one holding no
     run documents, undecodable JSON, a document that is not an
-    object, and a per-image ``job_id`` that is not a string.
+    object, a per-image ``job_id`` that is not a string, a per-image
+    ``findings`` that is not an object, and a findings section that is
+    not a list of objects.
     """
     if not os.path.isdir(path):
         raise PipelineError("not a results directory: %s" % path)
@@ -267,6 +272,7 @@ def read_run_dir(path):
                 if not isinstance(document.get("job_id"), str):
                     raise PipelineError("results document %s: job_id is "
                                         "not a string" % name)
+                _check_findings(name, document.get("findings"))
                 images[document["job_id"]] = document
     documents = {}
     for name in (DELTA_JSON, DIFFCHECK_JSON):
@@ -276,6 +282,23 @@ def read_run_dir(path):
     if rollup is None and not images and not documents:
         raise PipelineError("no results in %s" % path)
     return rollup, images, documents
+
+
+def _check_findings(name, findings):
+    """Reject a per-image ``findings`` its consumers cannot walk."""
+    if findings is None:
+        return
+    if not isinstance(findings, dict):
+        raise PipelineError("results document %s: findings is not an "
+                            "object" % name)
+    for section in _FINDING_SECTIONS:
+        entries = findings.get(section)
+        if entries is not None and not (
+            isinstance(entries, list)
+            and all(isinstance(entry, dict) for entry in entries)
+        ):
+            raise PipelineError("results document %s: findings.%s is not "
+                                "a list of objects" % (name, section))
 
 
 def _read_json(path):

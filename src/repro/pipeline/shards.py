@@ -53,13 +53,7 @@ import numpy as np
 
 from repro import profiling
 from repro.errors import PipelineError
-from repro.pipeline.cache import (
-    ReportCache,
-    SummaryCache,
-    binary_sha256,
-    report_fingerprint,
-    _atomic_write,
-)
+from repro.pipeline.cache import _atomic_write
 
 AUTO_SHARDS = -1
 
@@ -261,54 +255,10 @@ def plan_shards(costs, edges, shard_count, min_shard_cost=MIN_SHARD_COST):
 
 
 # ---------------------------------------------------------------------------
-# Worker-side phase executors (dispatched from execute_job).
-
-def _base_config(job):
-    """The job's DTaintConfig, identically to ``_load_job_binary``."""
-    from repro.core import DTaintConfig
-
-    if job.kind == "profile":
-        from repro.corpus.profiles import analyzed_module_prefixes
-
-        return DTaintConfig(modules=analyzed_module_prefixes(job.key),
-                            alias_engine=job.alias_engine)
-    return DTaintConfig(modules=tuple(job.modules),
-                        alias_engine=job.alias_engine)
-
-
-def _materialize(job, spill_dir):
-    """Load the job's binary; returns (name, binary, config, sha, spill).
-
-    ``spill`` is an on-disk ELF every later shard/merge task can
-    reload in O(ms): the job's own path for ``elf`` jobs, a spilled
-    copy of the built image for ``profile`` jobs (building a synthetic
-    profile costs seconds — paying it once in the plan instead of once
-    per task is most of the sharding win for profile jobs).
-    """
-    from repro.loader.binary import load_elf
-
-    if job.kind == "profile":
-        from repro.corpus.profiles import build_firmware
-
-        built = build_firmware(job.key, scale=job.scale)
-        sha = binary_sha256(built.elf_bytes)
-        spill = os.path.join(spill_dir, "%s.elf" % sha)
-        if not os.path.exists(spill):
-            _atomic_write(spill, built.elf_bytes)
-        # Analyse the ELF round-trip form, so plan/exec/merge all see
-        # bit-identical inputs regardless of which one built it.
-        return (built.name, load_elf(built.elf_bytes, name=built.name),
-                _base_config(job), sha, spill)
-    if job.kind == "elf":
-        with open(job.path, "rb") as handle:
-            data = handle.read()
-        return (job.path, load_elf(data, name=job.path),
-                _base_config(job), sha256_of(data), job.path)
-    raise PipelineError("unknown job kind %r" % job.kind)
-
-
-def sha256_of(data):
-    return binary_sha256(data)
+# Worker-side phase executors (dispatched from execute_job).  Loading the
+# job and every cache decision go through the scheduler's
+# ``_load_job_binary`` / ``job_config`` and ``JobCache``, exactly as an
+# unsharded run does.
 
 
 def _selected_names(binary, config):
@@ -327,19 +277,19 @@ def _selected_names(binary, config):
     return names, selected
 
 
-def execute_phase(job, attempt, cache_dir=None, use_summary_cache=True,
-                  use_report_cache=True, use_fleet_index=False):
-    """Dispatch one shard-lifecycle task (worker side)."""
-    options = dict(
-        cache_dir=cache_dir, use_summary_cache=use_summary_cache,
-        use_report_cache=use_report_cache, use_fleet_index=use_fleet_index,
-    )
+def execute_phase(job, attempt, options):
+    """Dispatch one shard-lifecycle task (worker side).
+
+    ``options`` are :func:`~repro.pipeline.scheduler.execute_job`'s
+    cache options, forwarded verbatim to
+    :class:`~repro.pipeline.scheduler.JobCache`.
+    """
     if job.shard_phase == "plan":
-        return _execute_plan(job, attempt, **options)
+        return _execute_plan(job, attempt, options)
     if job.shard_phase == "exec":
-        return _execute_shard(job, attempt, **options)
+        return _execute_shard(job, options)
     if job.shard_phase == "merge":
-        return _execute_merge(job, attempt, **options)
+        return _execute_merge(job, options)
     raise PipelineError("unknown shard phase %r" % job.shard_phase)
 
 
@@ -368,193 +318,125 @@ def _gc_paused():
             gc.collect()
 
 
-def _unsharded_fallthrough(job, attempt, options):
-    """Run the image unsharded in place (plan decided not to split)."""
-    from repro.pipeline.scheduler import execute_job
+def _load_spill(job, options):
+    """Reload the plan's spilled ELF; returns (binary, config, cache)."""
+    from repro.loader.binary import load_elf
+    from repro.pipeline.scheduler import JobCache, job_config
 
-    plain = replace(
-        job, shard_phase="", shard_index=-1, shard_names=(),
-        shard_payload=None, shards=0,
-    )
-    return execute_job(plain, attempt=attempt, **options)
+    sp = job.shard_payload
+    with open(sp["spill"], "rb") as handle:
+        binary = load_elf(handle.read(), name=sp["bin_name"])
+    config = job_config(job)
+    cache = JobCache(sha=sp["sha256"], config=config, **options)
+    cache.seed(binary, sp.get("fingerprints_blob"))
+    return binary, config, cache
 
 
-def _execute_plan(job, attempt, cache_dir=None, use_summary_cache=True,
-                  use_report_cache=True, use_fleet_index=False):
-    """Phase 1: load, probe caches, partition into shards."""
+def _execute_plan(job, attempt, options):
+    """Phase 1: load, probe caches, partition into shards.
+
+    An image that is served whole from cache, or that is not worth
+    splitting, completes right here exactly as an unsharded job would.
+    """
+    from repro.core import DTaint
     from repro.eval.resources import measure
-    from repro.pipeline.scheduler import _inject_fault
+    from repro.pipeline.scheduler import (
+        JobCache,
+        _inject_fault,
+        _load_job_binary,
+    )
 
     _inject_fault(job, attempt)
-    with measure() as usage:
-        payload = _plan_body(
-            job, attempt, cache_dir=cache_dir,
-            use_summary_cache=use_summary_cache,
-            use_report_cache=use_report_cache,
-            use_fleet_index=use_fleet_index,
-        )
-    # ``measure`` only finalises ``usage`` in its exit hook, so the
-    # numbers are read *after* the block — for every payload shape
-    # (plan, cache-hit ok, unsharded fallthrough alike).
-    resources = payload.setdefault("resources", {})
-    resources.update(
-        wall_seconds=usage.wall_seconds,
-        cpu_seconds=usage.cpu_seconds,
-        max_rss_mb=usage.max_rss_mb,
-    )
-    return payload
-
-
-def _plan_body(job, attempt, cache_dir, use_summary_cache,
-               use_report_cache, use_fleet_index):
     baseline = profiling.PROFILER.snapshot()
-    options = dict(
-        cache_dir=cache_dir, use_summary_cache=use_summary_cache,
-        use_report_cache=use_report_cache, use_fleet_index=use_fleet_index,
-    )
-    spill_dir = (job.shard_payload or {}).get("spill_dir", "")
-    build_start = time.perf_counter()
-    bin_name, binary, config, sha, spill = _materialize(job, spill_dir)
-    build_seconds = time.perf_counter() - build_start
-
-    cache_stats = {"summary_hits": 0, "summary_misses": 0,
-                   "report_cache_hit": False, "cache_corrupt": 0}
-    report_fp = report_fingerprint(config) if cache_dir else None
-    if cache_dir and use_report_cache and not use_fleet_index:
-        report_dict = ReportCache(cache_dir).get(sha, report_fp)
-        if report_dict is not None:
-            # Whole-report hit: nothing to shard, return the
-            # standard completed-job payload right here.
-            cache_stats["report_cache_hit"] = True
-            return _ok_payload(report_dict, sha, cache_stats, None,
-                               build_seconds)
-
-    fingerprints_blob = None
-    with profiling.PROFILER.phase("plan"):
-        names, selected = _selected_names(binary, config)
-        costs = {
-            name: float(max(binary.functions[name].size, 64))
-            for name in names
-        }
-    if use_fleet_index and cache_dir and use_summary_cache:
-        from repro.core import DTaint
-        from repro.increment.reuse import open_incremental_cache
-
-        bound = open_incremental_cache(cache_dir, sha, config)
-        detector = DTaint(binary, config=config, name=bin_name,
-                          summary_cache=bound)
-        detector.build_cfg()
-        report_dict = bound.lookup_image_report(report_fp)
-        if report_dict is not None:
-            cache_stats["image_findings_hit"] = True
-            bound.flush()
-            cache_stats.update(bound.stats)
-            return _ok_payload(
-                report_dict, sha, cache_stats,
-                bound.closure_fingerprints(), build_seconds,
-            )
-        with profiling.PROFILER.phase("plan"):
-            # The real call graph is already built for
-            # fingerprinting — use it (strictly better balance
-            # than the scout) and ship the fingerprints so shards
-            # skip recomputing closures on partial graphs.
-            edges = sorted(
-                (caller, callee)
-                for caller, callee in detector.call_graph.graph.edges()
-                if caller in costs and callee in costs
-            )
-            fingerprints_blob = pickle.dumps(
-                bound.fingerprints, protocol=4
-            )
-    else:
-        with profiling.PROFILER.phase("plan"):
-            edges = scan_direct_call_edges(binary, set(names))
-
-    with profiling.PROFILER.phase("plan"):
-        plan = plan_shards(costs, edges, max(job.shards, 1))
-    if len(plan.shards) <= 1:
-        return _unsharded_fallthrough(job, attempt, options)
-    profile = profiling.delta(baseline, profiling.PROFILER.snapshot())
+    with measure() as usage:
+        build_start = time.perf_counter()
+        name, binary, config, sha, elf_bytes = _load_job_binary(job)
+        build_seconds = time.perf_counter() - build_start
+        cache = JobCache(sha=sha, config=config, **options)
+        detector = DTaint(binary, config=config, name=name,
+                          summary_cache=cache.summaries)
+        report_dict = cache.lookup(detector)
+        if report_dict is None:
+            with profiling.PROFILER.phase("plan"):
+                names, selected = _selected_names(binary, config)
+                costs = {
+                    each: float(max(binary.functions[each].size, 64))
+                    for each in names
+                }
+                if detector.call_graph is not None:
+                    # The cache lookup already built the real call
+                    # graph (for fingerprinting): strictly better
+                    # balance than the scout.
+                    edges = sorted(
+                        (caller, callee)
+                        for caller, callee
+                        in detector.call_graph.graph.edges()
+                        if caller in costs and callee in costs
+                    )
+                else:
+                    edges = scan_direct_call_edges(binary, set(names))
+                plan = plan_shards(costs, edges, max(job.shards, 1))
+            if len(plan.shards) <= 1:
+                report_dict = detector.run().to_dict()
+                cache.publish(report_dict)
+        if report_dict is None:
+            spill = os.path.join(job.shard_payload["spill_dir"],
+                                 "%s.elf" % sha)
+            if not os.path.exists(spill):
+                _atomic_write(spill, elf_bytes)
+        else:
+            cache.flush()
+    # ``measure`` only finalises ``usage`` in its exit hook, so the
+    # numbers are read *after* the block.
+    resources = {
+        "wall_seconds": usage.wall_seconds,
+        "cpu_seconds": usage.cpu_seconds,
+        "max_rss_mb": usage.max_rss_mb,
+        "build_seconds": build_seconds,
+    }
+    if report_dict is not None:
+        return cache.result(report_dict, resources)
     return {
         "status": "plan",
         "sha256": sha,
         "spill": spill,
-        "bin_name": bin_name,
+        "bin_name": name,
         "selected": selected,
-        "shards": [list(names) for names in plan.shards],
+        "shards": [list(shard) for shard in plan.shards],
         "plan_info": plan.describe(),
-        "fingerprints_blob": fingerprints_blob,
-        "profile": profile,
-        "cache": cache_stats,
-        "resources": {"build_seconds": build_seconds},
+        # Shards recover partial call graphs, over which closure
+        # fingerprints would be wrong: ship the full-graph ones.
+        "fingerprints_blob": cache.fingerprints_blob(),
+        "profile": profiling.delta(baseline, profiling.PROFILER.snapshot()),
+        "cache": cache.stats,
+        "resources": resources,
     }
 
 
-def _ok_payload(report_dict, sha, cache_stats, fingerprints,
-                build_seconds):
-    return {
-        "status": "ok",
-        "report": report_dict,
-        "sha256": sha,
-        "cache": cache_stats,
-        "fingerprints": fingerprints,
-        "fired_faults": [],
-        "resources": {"build_seconds": build_seconds},
-    }
-
-
-def _open_shard_cache(sp, sha, config, binary, cache_dir,
-                      use_summary_cache, use_fleet_index):
-    """The shard-local summary cache (never flushes the bundle)."""
-    if not (cache_dir and use_summary_cache):
-        return None
-    if use_fleet_index:
-        from repro.increment.reuse import open_incremental_cache
-
-        bound = open_incremental_cache(cache_dir, sha, config)
-        blob = sp.get("fingerprints_blob")
-        if blob:
-            bound.seed_fingerprints(binary, pickle.loads(blob))
-        return bound
-    return SummaryCache(cache_dir).for_binary(sha, config)
-
-
-def _execute_shard(job, attempt, cache_dir=None, use_summary_cache=True,
-                   use_report_cache=True, use_fleet_index=False):
+def _execute_shard(job, options):
     """Phase 2: symexec + alias pass 1 + layouts for one function subset."""
     from repro.alias import get_engine
     from repro.core import DTaint
     from repro.core.types import infer_types
     from repro.eval.resources import measure
-    from repro.loader.binary import load_elf
 
-    sp = job.shard_payload or {}
+    sp = job.shard_payload
     baseline = profiling.PROFILER.snapshot()
     with measure() as usage, _gc_paused():
-        with open(sp["spill"], "rb") as handle:
-            data = handle.read()
-        binary = load_elf(data, name=sp.get("bin_name", job.job_id))
-        sha = sp["sha256"]
-        config = _base_config(job)
+        binary, config, cache = _load_spill(job, options)
         shard_config = replace(
             config, function_filter=NameFilter(job.shard_names)
         )
-        bound = _open_shard_cache(
-            sp, sha, config, binary, cache_dir, use_summary_cache,
-            use_fleet_index,
-        )
         detector = DTaint(binary, config=shard_config,
-                          name=sp.get("bin_name", ""), summary_cache=bound)
+                          name=sp["bin_name"], summary_cache=cache.summaries)
         detector.build_cfg()
         detector.analyze_functions()
         # Bundle blobs are captured *pre-alias* (the cache stores
         # summaries as ``put`` serialized them; the alias pass below
         # mutates the live objects only).
-        blobs = {}
-        if bound is not None:
-            store = bound.bound if use_fleet_index else bound
-            addrs = {s.addr for s in detector.summaries.values()}
-            blobs = store.export_blobs(addrs)
+        blobs = cache.export_blobs(
+            {s.addr for s in detector.summaries.values()}
+        )
         types_map = {}
         alias_engine = get_engine(config.alias_engine)
         for name, summary in list(detector.summaries.items()):
@@ -590,10 +472,9 @@ def _execute_shard(job, attempt, cache_dir=None, use_summary_cache=True,
                     )))
                 except Exception:
                     addr_taken = ()
-        if bound is not None and use_fleet_index:
-            # Batched per-shard index write; the per-binary bundle is
-            # flushed exactly once, by the merge.
-            bound.flush(include_bundle=False)
+        # Batched per-shard index write; the per-binary bundle is
+        # flushed exactly once, by the merge.
+        cache.flush(include_bundle=False)
         skeletons = [
             skeletonize(function)
             for function in detector.functions.values()
@@ -613,11 +494,12 @@ def _execute_shard(job, attempt, cache_dir=None, use_summary_cache=True,
             "blobs": blobs,
             "addr_taken": addr_taken,
             "profile": profile,
-            "cache": dict(bound.stats) if bound is not None else {},
+            "cache": cache.stats,
         }
         spill_out = os.path.join(
             sp["spill_dir"],
-            "%s.shard.%d.%d.pkl" % (sha, job.shard_gen, job.shard_index),
+            "%s.shard.%d.%d.pkl" % (sp["sha256"], job.shard_gen,
+                                    job.shard_index),
         )
         _atomic_write(spill_out, pickle.dumps(out, protocol=4))
     return {
@@ -628,7 +510,7 @@ def _execute_shard(job, attempt, cache_dir=None, use_summary_cache=True,
         "functions": len(detector.summaries),
         "degraded": len(detector.degraded),
         "profile": profile,
-        "cache": dict(bound.stats) if bound is not None else {},
+        "cache": out["cache"],
         "resources": {
             "wall_seconds": usage.wall_seconds,
             "cpu_seconds": usage.cpu_seconds,
@@ -644,23 +526,17 @@ def _summary_address_taken(binary, summaries, address_taken_functions):
     return full - data_part
 
 
-def _execute_merge(job, attempt, cache_dir=None, use_summary_cache=True,
-                   use_report_cache=True, use_fleet_index=False):
+def _execute_merge(job, options):
     """Phase 3: deterministic reassembly + the serial pipeline tail."""
     from repro.cfg import build_call_graph
     from repro.cfg.model import Function
     from repro.core import DTaint
     from repro.eval.resources import measure
-    from repro.loader.binary import load_elf
 
-    sp = job.shard_payload or {}
+    sp = job.shard_payload
     baseline = profiling.PROFILER.snapshot()
     with measure() as usage, _gc_paused():
-        with open(sp["spill"], "rb") as handle:
-            data = handle.read()
-        binary = load_elf(data, name=sp.get("bin_name", job.job_id))
-        sha = sp["sha256"]
-        config = _base_config(job)
+        binary, config, cache = _load_spill(job, options)
         shard_outs = []
         for path in sp["shard_spills"]:
             with open(path, "rb") as handle:
@@ -683,28 +559,20 @@ def _execute_merge(job, attempt, cache_dir=None, use_summary_cache=True,
                         size=symbol.size, is_import=True,
                     )
             summaries, types_map, layouts = {}, {}, {}
-            degraded, addr_taken, blobs = [], set(), {}
-            shard_profiles = []
-            cache_totals = {}
+            degraded, addr_taken = [], set()
+            cache.absorb(sp.get("plan_cache"))
             for out in shard_outs:
                 summaries.update(out["summaries"])
                 types_map.update(out["types"])
                 layouts.update(out["layouts"])
                 degraded.extend(out["degraded"])
                 addr_taken.update(out["addr_taken"])
-                blobs.update(out["blobs"])
-                shard_profiles.append(out["profile"])
+                cache.preload(out["blobs"])
+                cache.absorb(out["cache"])
             call_graph = build_call_graph(functions)
 
-        bound = _open_shard_cache(
-            sp, sha, config, binary, cache_dir, use_summary_cache,
-            use_fleet_index,
-        )
-        if bound is not None:
-            store = bound.bound if use_fleet_index else bound
-            store.preload(blobs)
         detector = DTaint(binary, config=config,
-                          name=sp.get("bin_name", ""), summary_cache=bound)
+                          name=sp["bin_name"], summary_cache=cache.summaries)
         detector.attach_prebuilt(
             functions, call_graph, sp.get("selected", 0),
             degraded=degraded, summaries=summaries, types=types_map,
@@ -713,39 +581,7 @@ def _execute_merge(job, attempt, cache_dir=None, use_summary_cache=True,
                 "address_taken": sorted(addr_taken),
             },
         )
-        report = detector.detect()
-        report_dict = report.to_dict()
-
-        cache_stats = {"summary_hits": 0, "summary_misses": 0,
-                       "report_cache_hit": False, "cache_corrupt": 0}
-        for out in shard_outs:
-            for key, value in (out.get("cache") or {}).items():
-                if isinstance(value, (int, float)) and not isinstance(
-                    value, bool
-                ):
-                    cache_totals[key] = cache_totals.get(key, 0) + value
-        for key, value in (sp.get("plan_cache") or {}).items():
-            if isinstance(value, (int, float)) and not isinstance(
-                value, bool
-            ):
-                cache_totals[key] = cache_totals.get(key, 0) + value
-        cache_stats.update(cache_totals)
-        fingerprints = None
-        if bound is not None:
-            if use_fleet_index:
-                report_fp = report_fingerprint(config)
-                bound.store_image_report(report_fp, report_dict)
-                fingerprints = bound.closure_fingerprints()
-            bound.flush()
-            for key, value in bound.stats.items():
-                if isinstance(value, (int, float)) and not isinstance(
-                    value, bool
-                ):
-                    cache_stats[key] = cache_stats.get(key, 0) + value
-        if cache_dir and use_report_cache and not use_fleet_index:
-            ReportCache(cache_dir).put(
-                sha, report_fingerprint(config), report_dict
-            )
+        report_dict = detector.run().to_dict()
         # The report's own profile covers only this process; fold in
         # the plan's and every shard's deltas so per-image phase_times
         # reflect total analysis compute (each process contributed its
@@ -753,33 +589,31 @@ def _execute_merge(job, attempt, cache_dir=None, use_summary_cache=True,
         merge_profile = profiling.delta(
             baseline, profiling.PROFILER.snapshot()
         )
-        profiles = [p for p in [sp.get("plan_profile")] + shard_profiles
-                    if p] + [merge_profile]
-        report_dict["phase_profile"] = profiling.merge(profiles)
+        profiles = [sp.get("plan_profile")]
+        profiles += [out["profile"] for out in shard_outs]
+        report_dict["phase_profile"] = profiling.merge(
+            [p for p in profiles if p] + [merge_profile]
+        )
+        stats = cache.stats
         report_dict["summary_cache"] = {
-            "hits": int(cache_stats.get("summary_hits", 0)),
-            "misses": int(cache_stats.get("summary_misses", 0)),
+            "hits": int(stats["summary_hits"]),
+            "misses": int(stats["summary_misses"]),
         }
+        cache.publish(report_dict)
+        cache.flush()
         for path in sp["shard_spills"]:
             try:
                 os.unlink(path)
             except OSError:
                 pass
-    return {
-        "status": "ok",
-        "report": report_dict,
-        "sha256": sha,
-        "cache": cache_stats,
-        "fingerprints": fingerprints,
-        "fired_faults": [],
-        "shard_stats": {
-            "shards": len(shard_outs),
-            "plan_info": sp.get("plan_info", {}),
-        },
-        "resources": {
-            "wall_seconds": usage.wall_seconds,
-            "cpu_seconds": usage.cpu_seconds,
-            "max_rss_mb": usage.max_rss_mb,
-            "build_seconds": sp.get("build_seconds", 0.0),
-        },
+    payload = cache.result(report_dict, resources={
+        "wall_seconds": usage.wall_seconds,
+        "cpu_seconds": usage.cpu_seconds,
+        "max_rss_mb": usage.max_rss_mb,
+        "build_seconds": sp.get("build_seconds", 0.0),
+    })
+    payload["shard_stats"] = {
+        "shards": len(shard_outs),
+        "plan_info": sp.get("plan_info", {}),
     }
+    return payload

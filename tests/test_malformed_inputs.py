@@ -291,6 +291,20 @@ class TestMalformedRunDir:
         "non_object": ("images/a.json", "[1, 2]"),
         "undecodable": ("images/a.json", '{"job_id": "a", '),
         "job_id_not_string": ("images/a.json", '{"job_id": 7}'),
+        "findings_not_object": ("images/a.json",
+                                '{"job_id": "a", "findings": [1]}'),
+        "section_not_list": (
+            "images/a.json",
+            '{"job_id": "a", "findings": {"vulnerabilities": 3}}',
+        ),
+        "finding_not_object": (
+            "images/a.json",
+            '{"job_id": "a", "findings": {"vulnerable_paths": [1]}}',
+        ),
+        "sanitized_not_list": (
+            "images/a.json",
+            '{"job_id": "a", "findings": {"sanitized_paths": "x"}}',
+        ),
         "empty": ("telemetry.jsonl", ""),
     }
 

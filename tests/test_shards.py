@@ -11,6 +11,7 @@ summary-blob shipping, the unsharded fallback — exists in service of
 that property.
 """
 
+import os
 import pickle
 import shutil
 
@@ -19,6 +20,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.corpus.profiles import analyzed_module_prefixes, build_firmware
+from repro.firmware.image import pack_trx
+from repro.firmware.simplefs import SimpleFS
 from repro.loader.link import build_executable
 from repro.pipeline import FleetJob, FleetScheduler, findings_fingerprint
 from repro.pipeline.shards import (
@@ -41,10 +44,41 @@ def image_elf(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def image_firmware(image_elf, tmp_path_factory):
+    """The same ELF as ``image_elf``, packed in a TRX firmware image."""
+    with open(image_elf, "rb") as handle:
+        elf_bytes = handle.read()
+    rootfs = SimpleFS()
+    rootfs.add_file("/bin/httpd", elf_bytes)
+    path = tmp_path_factory.mktemp("shards-fw") / "fw.trx"
+    path.write_bytes(pack_trx(b"KERNELKERNEL", rootfs.pack()))
+    return str(path)
+
+
 def _image_job(path, shards, job_id="img"):
     return FleetJob(job_id=job_id, kind="elf", path=path,
                     modules=analyzed_module_prefixes(IMAGE),
                     shards=shards)
+
+
+def _kind_job(kind, paths, shards, job_id):
+    """A job of ``kind`` over the one test image."""
+    if kind == "profile":
+        return FleetJob(job_id=job_id, kind="profile", key=IMAGE,
+                        scale=SCALE, shards=shards)
+    return FleetJob(job_id=job_id, kind=kind, path=paths[kind],
+                    modules=analyzed_module_prefixes(IMAGE),
+                    shards=shards)
+
+
+def _cache_files(root):
+    """Relative paths of every file under a cache directory."""
+    return {
+        os.path.relpath(os.path.join(dirpath, name), root)
+        for dirpath, _dirnames, names in os.walk(root)
+        for name in names
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +256,54 @@ class TestShardIdentity:
         fanned = [event for event in events
                   if event["event"] == "shard_plan" and event["shards"] >= 2]
         assert len(fanned) >= 2
+
+    @pytest.mark.parametrize("kind", ["profile", "elf", "firmware"])
+    def test_every_job_kind_shards_identically(self, kind, image_elf,
+                                               image_firmware):
+        """Each job kind shards with no retry budget, and the sharded
+        findings equal the unsharded run's."""
+        paths = {"elf": image_elf, "firmware": image_firmware}
+        events = []
+        telemetry = Telemetry()
+        telemetry.add_sink(lambda record: events.append(dict(record)))
+        probes = {}
+        with FleetScheduler(jobs=1, retries=0, backoff=0.0,
+                            telemetry=telemetry) as scheduler:
+            for shards in (0, 2):
+                result = scheduler.run(
+                    [_kind_job(kind, paths, shards, "k%d" % shards)]
+                )[0]
+                assert result.status == "ok", result.error
+                probes[shards] = (findings_fingerprint(result.report),
+                                  result.report.get("coverage"))
+        assert probes[2] == probes[0]
+        kinds = [event["event"] for event in events]
+        assert "shard_fallback" not in kinds
+        assert any(event["event"] == "shard_plan" and event["shards"] >= 2
+                   for event in events)
+
+    @pytest.mark.parametrize("fleet_index", [False, True],
+                             ids=["plain", "fleet_index"])
+    def test_cache_files_do_not_depend_on_sharding(self, fleet_index,
+                                                   image_elf, tmp_path):
+        """An unsharded and a sharded run leave the same cache files.
+
+        Names only: bundle pickles keep insertion order, which follows
+        the schedule.
+        """
+        files = {}
+        for shards in (0, 4):
+            cache_dir = str(tmp_path / ("cache%d" % shards))
+            with FleetScheduler(jobs=1, retries=0, backoff=0.0,
+                                cache_dir=cache_dir,
+                                use_fleet_index=fleet_index) as scheduler:
+                result = scheduler.run(
+                    [_image_job(image_elf, shards, job_id="c%d" % shards)]
+                )[0]
+            assert result.ok, result.error
+            files[shards] = _cache_files(cache_dir)
+        assert files[0], "the run must write cache records"
+        assert files[4] == files[0]
 
     def test_failed_shard_falls_back_to_unsharded(self, image_elf):
         events = []
