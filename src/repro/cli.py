@@ -483,12 +483,12 @@ def _cmd_serve(args):
     host, port = server.server_address[:2]
 
     # SIGTERM / SIGINT drain gracefully: stop claiming immediately,
-    # let the in-flight batch publish, then exit.  The handler only
+    # let the in-flight jobs publish, then exit.  The handler only
     # trips the flag — the actual teardown runs in the main thread's
     # finally block, never inside signal context.
     def _drain(signum, frame):
         daemon.draining = True
-        print("\nsignal %d: draining (in-flight batch completes, "
+        print("\nsignal %d: draining (in-flight jobs complete, "
               "pending jobs stay durable)" % signum, flush=True)
         threading.Thread(target=server.shutdown, daemon=True).start()
 
@@ -1113,7 +1113,7 @@ def main(argv=None):
                        help="process-killing failures per image before "
                             "its fingerprint is quarantined")
     serve.add_argument("--drain-timeout", type=float, default=60.0,
-                       help="seconds to wait for the in-flight batch "
+                       help="seconds to wait for the in-flight jobs "
                             "on SIGTERM/SIGINT")
     serve.add_argument("--allow-shutdown", action="store_true",
                        help="enable POST /api/v1/shutdown (CI smoke)")

@@ -21,23 +21,26 @@ site                    target                        faults
 ``symexec.deadline``    function name                 deadline
 ``interproc``           function name                 symexec
 ``detect``              function name                 symexec
-``loader``              file label (may be empty)     malformed
+``loader``              file label (may be empty)     malformed, sigstop
 ``firmware.unpack``     file label (may be empty)     malformed
 ``firmware.file``       filesystem path               malformed
 ``results``             output file basename          malformed
-``service.claim``       queue batch label             kill9
-``service.dispatch``    queue batch label             kill9
-``service.publish``     queue batch label             kill9
+``service.claim``       claimed queue job ids         kill9
+``service.dispatch``    queue job id                  kill9
+``service.publish``     queue job id                  kill9
 ``service.api``         request path                  disconnect
 ======================  ============================  ==================
 
-Beyond the typed exception faults there are two **action faults** for
-service chaos: ``kill9`` delivers an un-catchable ``SIGKILL`` to the
-current process at the probe (modelling a daemon killed mid-claim /
-mid-publish), and ``disconnect`` raises ``ConnectionResetError``
-(modelling a client connection torn mid-response).  Both fire through
-the same spec/shots machinery, so a chaos sweep arms them exactly like
-any analysis fault.
+Beyond the typed exception faults there are three **action faults**
+for service chaos: ``kill9`` delivers an un-catchable ``SIGKILL`` to
+the current process at the probe (modelling a daemon killed mid-claim
+/ mid-publish), ``disconnect`` raises ``ConnectionResetError``
+(modelling a client connection torn mid-response), and ``sigstop``
+freezes the current process with ``SIGSTOP`` until someone sends it
+``SIGCONT`` (a worker held mid-job for exactly as long as a test
+needs, with no timing involved).  All fire through the same
+spec/shots machinery, so a chaos sweep arms them exactly like any
+analysis fault.
 
 Determinism: a spec either names its target exactly or uses ``*``
 (first eligible probe at that site).  :func:`pick_target` maps an
@@ -74,7 +77,7 @@ FAULT_CLASSES = {
 
 # Action faults do something to the process instead of raising a typed
 # analysis error: service chaos points.
-ACTION_FAULTS = ("kill9", "disconnect")
+ACTION_FAULTS = ("kill9", "disconnect", "sigstop")
 
 MATCH_ANY = "*"
 
@@ -153,6 +156,9 @@ class FaultInjector:
                 # Un-catchable hard death at this exact point: the
                 # chaos harness asserts durable state recovers.
                 os.kill(os.getpid(), signal.SIGKILL)
+            if spec.fault == "sigstop":
+                os.kill(os.getpid(), signal.SIGSTOP)
+                return
             if spec.fault == "disconnect":
                 raise ConnectionResetError(
                     "injected dropped connection at %s" % site

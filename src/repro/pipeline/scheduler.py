@@ -23,13 +23,16 @@ the typed exceptions from :mod:`repro.errors` (``AnalysisTimeout``,
 ``WorkerCrash``, or the worker's own ``ReproError`` subclass).
 
 A scheduler is **reusable**: ``run()`` may be called any number of
-times and healthy workers stay warm between calls — this is what the
-analysis daemon (:mod:`repro.service`) builds on.  All per-run state
-(result map, retry queue, backoff bookkeeping) lives inside ``run()``;
-nothing leaks from one batch into the next.  Call :meth:`close` (or
-use the scheduler as a context manager) to reap the pool; one-shot
-callers that skip it only leave daemonic idle workers that die with
-the parent process.
+times and healthy workers stay warm between calls.  A run can also be
+**fed**: given a job source it refills each worker slot the moment it
+frees and hands every job to a callback as soon as it settles — the
+analysis daemon (:mod:`repro.service`) runs on exactly this loop, so
+a one-shot ``fleet-scan`` and the service share one scheduler.  All
+per-run state (result map, retry queue, backoff bookkeeping) lives
+inside ``run()``; nothing leaks from one run into the next.  Call
+:meth:`close` (or use the scheduler as a context manager) to reap the
+pool; one-shot callers that skip it only leave daemonic idle workers
+that die with the parent process.
 """
 
 import os
@@ -471,6 +474,21 @@ def execute_job(job, attempt=1, cache_dir=None, use_report_cache=True,
     )
 
 
+# Per-result counters a run sums into its ``run_finish`` event.
+_CACHE_TOTALS = ("summary_hits", "summary_misses", "cache_corrupt",
+                 "fleet_hits", "fleet_misses")
+_RUN_TOTALS = ("ok", "quarantined") + _CACHE_TOTALS + ("degraded",)
+
+
+def _tally(totals, result):
+    totals["ok" if result.ok else "quarantined"] += 1
+    for key in _CACHE_TOTALS:
+        totals[key] += result.cache.get(key, 0)
+    totals["degraded"] += (
+        (result.report or {}).get("coverage", {}).get("degraded", 0)
+    )
+
+
 class FleetScheduler:
     """Fans fleet jobs over warm pool workers with retry + quarantine."""
 
@@ -506,8 +524,8 @@ class FleetScheduler:
             "use_report_cache": use_report_cache,
             "use_fleet_index": use_fleet_index,
         }
-        # An externally supplied pool is shared (the daemon hands one
-        # scheduler per batch the same warm workers); an owned pool is
+        # An externally supplied pool is shared (several schedulers
+        # may draw on the same warm workers); an owned pool is
         # created lazily on the first run() so the fork happens after
         # the caller finished configuring the parent process.
         self._pool = pool
@@ -544,35 +562,43 @@ class FleetScheduler:
 
     # ------------------------------------------------------------------
 
-    def run(self, fleet_jobs):
-        """Run every job to a terminal state; returns ordered results."""
+    def run(self, fleet_jobs=(), source=None, on_result=None):
+        """Run every job to a terminal state; returns ordered results.
+
+        A one-shot fleet run passes its jobs as ``fleet_jobs``.  A
+        long-lived caller (the analysis daemon) passes a ``source``
+        instead, and the same launch/poll loop refills every free
+        worker slot from it:
+
+        * ``source.take(slots)`` returns up to ``slots`` new jobs
+          (possibly none), or ``None`` once the source is closed — the
+          run then finishes the work in flight and returns;
+        * ``source.wake`` is a waitable (a pipe read end, or ``None``)
+          that turns readable when ``take`` may have new work; the
+          loop waits on it beside the worker pipes while a slot is
+          free, so new work starts without polling;
+        * ``source.poll_interval`` bounds an idle wait, for work that
+          arrives without a wake.
+
+        ``on_result(result)`` is called once per job the moment it
+        reaches its terminal state.  Source jobs are delivered only
+        that way: the returned list holds the ``fleet_jobs`` results.
+        """
         fleet_jobs = list(fleet_jobs)
-        results = {job.job_id: JobResult(job=job) for job in fleet_jobs}
-        if len(results) != len(fleet_jobs):
-            raise PipelineError("duplicate job_id in fleet")
         # Queue entries are (job, attempt, not_before): retries sit in
         # the queue until their backoff delay expires, without ever
-        # blocking the scheduler loop or other jobs' slots.  A job
-        # marked for sharding enters as its own plan task; the plan's
-        # shard tasks later jump the queue front, so idle workers
-        # steal shard work from hot images before starting new ones.
+        # blocking the scheduler loop or other jobs' slots.
         queue = []
+        results = {}
         for job in fleet_jobs:
-            resolved = self._resolve_shards(job)
-            if resolved > 1:
-                queue.append(
-                    (replace(job, shards=resolved, shard_phase="plan",
-                             shard_payload={
-                                 "spill_dir": self._ensure_spill_dir(),
-                             }),
-                     1, 0.0)
-                )
-            else:
-                queue.append((job, 1, 0.0))
+            self._admit(job, queue, results)
+        ordered = [results[job.job_id] for job in fleet_jobs]
+        listed = set(results)
         # job_id -> in-flight shard fan-out bookkeeping (plan payload,
         # outstanding shard set).
         shard_states = {}
         running = []
+        totals = dict.fromkeys(_RUN_TOTALS, 0)
         run_start = time.perf_counter()
         self.telemetry.emit(
             "run_start", jobs=len(fleet_jobs), workers=self.jobs,
@@ -580,8 +606,19 @@ class FleetScheduler:
             cache_dir=self._options["cache_dir"],
         )
         try:
-            while queue or running:
+            while queue or running or source is not None:
                 now = time.perf_counter()
+                if source is not None:
+                    free = self.jobs - len(running) - sum(
+                        1 for e in queue if e[2] <= now
+                    )
+                    if free > 0:
+                        taken = source.take(free)
+                        if taken is None:
+                            source = None
+                            continue
+                        for job in taken:
+                            self._admit(job, queue, results)
                 while len(running) < self.jobs:
                     entry = next(
                         (e for e in queue if e[2] <= now), None
@@ -590,45 +627,61 @@ class FleetScheduler:
                         break
                     queue.remove(entry)
                     running.append(self._launch(entry[0], entry[1]))
+                # Only a free slot listens for new work; a full pool
+                # learns of a freed slot from the worker pipes.
+                wake = (source.wake if source is not None
+                        and len(running) < self.jobs else None)
                 if not running:
-                    # Everything left is backing off; sleep to the
-                    # soonest eligibility instead of spinning.
-                    soonest = min(e[2] for e in queue)
-                    time.sleep(min(max(soonest - now, 0.0), 0.05))
+                    # Everything left is backing off (sleep to the
+                    # soonest eligibility instead of spinning) or the
+                    # source is idle until its next wake.
+                    if queue:
+                        soonest = min(e[2] for e in queue)
+                        timeout = min(max(soonest - now, 0.0), 0.05)
+                    else:
+                        timeout = source.poll_interval
+                    if wake is not None:
+                        connection.wait([wake], timeout=timeout)
+                    else:
+                        time.sleep(timeout)
                     continue
-                self._poll(running, queue, results, shard_states)
+                settled = self._poll(running, queue, results,
+                                     shard_states, wake)
+                for result in settled:
+                    _tally(totals, result)
+                    if on_result is not None:
+                        on_result(result)
+                    if result.job.job_id not in listed:
+                        results.pop(result.job.job_id)
         finally:
             for record in running:   # unwind on unexpected scheduler error
                 self.pool.discard(record.worker)
-        wall = time.perf_counter() - run_start
-        ordered = [results[job.job_id] for job in fleet_jobs]
         self.telemetry.emit(
-            "run_finish", wall_seconds=round(wall, 4),
-            ok=sum(1 for r in ordered if r.ok),
-            quarantined=sum(1 for r in ordered if not r.ok),
-            summary_hits=sum(
-                r.cache.get("summary_hits", 0) for r in ordered
-            ),
-            summary_misses=sum(
-                r.cache.get("summary_misses", 0) for r in ordered
-            ),
-            cache_corrupt=sum(
-                r.cache.get("cache_corrupt", 0) for r in ordered
-            ),
-            fleet_hits=sum(
-                r.cache.get("fleet_hits", 0) for r in ordered
-            ),
-            fleet_misses=sum(
-                r.cache.get("fleet_misses", 0) for r in ordered
-            ),
-            degraded=sum(
-                (r.report or {}).get("coverage", {}).get("degraded", 0)
-                for r in ordered
-            ),
+            "run_finish",
+            wall_seconds=round(time.perf_counter() - run_start, 4),
+            **totals,
         )
         return ordered
 
     # ------------------------------------------------------------------
+
+    def _admit(self, job, queue, results):
+        """Give a job its result slot and queue its first task.
+
+        A job marked for sharding enters as its own plan task; the
+        plan's shard tasks later jump the queue front, so idle workers
+        steal shard work from hot images before starting new ones.
+        """
+        if job.job_id in results:
+            raise PipelineError("duplicate job_id in fleet")
+        results[job.job_id] = JobResult(job=job)
+        resolved = self._resolve_shards(job)
+        if resolved > 1:
+            job = replace(job, shards=resolved, shard_phase="plan",
+                          shard_payload={
+                              "spill_dir": self._ensure_spill_dir(),
+                          })
+        queue.append((job, 1, 0.0))
 
     def _launch(self, job, attempt):
         worker = self.pool.acquire()
@@ -656,7 +709,7 @@ class FleetScheduler:
                         started=started, deadline=deadline,
                         last_heartbeat=started)
 
-    def _poll(self, running, queue, results, shard_states=None):
+    def _poll(self, running, queue, results, shard_states, wake=None):
         """One scheduler tick: reap finished workers, enforce deadlines.
 
         Three independent liveness checks per live worker, in order:
@@ -664,10 +717,14 @@ class FleetScheduler:
         per-job wall-clock deadline, and — when heartbeats are on —
         the stall detector, which reaps a worker whose beat went
         silent even though its deadline has not expired (frozen
-        process, SIGSTOP, deadlock in native code).
+        process, SIGSTOP, deadlock in native code).  ``wake`` joins
+        the wait so new work cuts the tick short.  Returns the
+        results that reached their terminal state in this tick.
         """
         conns = [record.conn for record in running]
-        ready = connection.wait(conns, timeout=0.05) if conns else []
+        if wake is not None:
+            conns.append(wake)
+        ready = connection.wait(conns, timeout=0.05)
         now = time.perf_counter()
         finished = []
         for record in running:
@@ -687,11 +744,14 @@ class FleetScheduler:
                 finished.append((record, WorkerStalled(
                     record.job.job_id, now - record.last_heartbeat
                 )))
-        if shard_states is None:
-            shard_states = {}
+        settled = []
         for record, outcome in finished:
             running.remove(record)
             elapsed = time.perf_counter() - record.started
+            # A stale shard task of an already delivered job finds no
+            # result slot; it cannot settle anything.
+            result = results.get(record.job.job_id)
+            pending = result is not None and result.status == "pending"
             if record.job.shard_phase:
                 if not isinstance(outcome, dict):
                     self._fail_shard(record, outcome, elapsed, queue,
@@ -708,6 +768,9 @@ class FleetScheduler:
                 self._complete(record, outcome, elapsed, results)
             else:
                 self._fail(record, outcome, elapsed, queue, results)
+            if pending and result.status != "pending":
+                settled.append(result)
+        return settled
 
     def _reap(self, record):
         """Drain the worker's pipe; returns a payload, an error, or None.

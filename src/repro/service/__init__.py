@@ -12,8 +12,8 @@ pipeline into a long-running service:
   idempotent submission keyed by image+config fingerprint, crash-safe
   resume;
 * :mod:`repro.service.daemon` — the orchestration core: a dispatcher
-  thread feeding the persistent warm worker pool and publishing each
-  batch transactionally;
+  thread that refills each free slot of the persistent warm worker
+  pool from the queue and publishes each job transactionally;
 * :mod:`repro.service.api` — the REST/JSON frontend (stdlib
   ``http.server``);
 * :mod:`repro.service.client` — the urllib client behind

@@ -213,7 +213,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         })
 
     def _post_retry(self, raw_id, query):
-        outcome = self.daemon.queue.retry_dead(self._job_id(raw_id))
+        outcome = self.daemon.retry_dead(self._job_id(raw_id))
         if outcome == "missing":
             return self._error("no such job", status=404)
         if outcome == "not_dead":
@@ -227,7 +227,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         key = body.get("dedup_key", "")
         if not key:
             raise PipelineError("dedup_key is required")
-        removed = self.daemon.queue.reset_quarantine(key)
+        removed = self.daemon.reset_quarantine(key)
         self._send_json({"dedup_key": key, "removed": removed})
 
     def _get_stats(self, query):

@@ -5,32 +5,35 @@ criterion this module verifies) is:
 
 * **zero loss** — every accepted job eventually reaches ``done``, no
   matter where the daemon was killed;
-* **zero duplication** — recovery never publishes a batch twice: each
+* **zero duplication** — recovery never publishes a job twice: each
   queue job owns at most one ``images`` row;
 * **byte-identical results** — the canonical ``findings_sha256`` of
   every job after a kill + recovery equals the fingerprint of an
   uninterrupted run.
 
 The harness drives a real :class:`~repro.service.daemon.
-AnalysisDaemon` in a **forked child process** with a ``kill9`` fault
-armed at one of the ``service.*`` probe sites
-(:mod:`repro.faultinject`), delivering an un-catchable ``SIGKILL`` at
-that exact point:
+AnalysisDaemon` — its continuous dispatcher thread, with every job
+submitted up front so each worker slot has one in flight — in a
+**forked child process** with a ``kill9`` fault armed at one of the
+``service.*`` probe sites (:mod:`repro.faultinject`), delivering an
+un-catchable ``SIGKILL`` at that exact point:
 
 ======================  ==============================================
 ``service.claim``       just after the claim transaction committed —
                         jobs are ``running``, nothing computed
-``service.dispatch``    after the batch computed, before publication —
-                        results exist only in worker memory
-``service.publish``     inside the publish transaction, after the
-                        queue rows were marked done but before COMMIT
-                        — the WAL journal must roll everything back
+``service.dispatch``    after the first job computed, before its
+                        publication — its result exists only in the
+                        dispatcher's memory, the others are mid-run
+``service.publish``     inside the first job's publish transaction,
+                        after its queue row was marked done but before
+                        COMMIT — the WAL journal must roll it back
 ======================  ==============================================
 
 After the child dies the parent reopens the store, runs recovery
-(:meth:`JobQueue.recover` + drained ``run_once`` calls) and audits the
-three guarantees.  :func:`chaos_sweep` walks every point and returns
-the triage document the CI ``service-chaos`` job uploads.
+(:meth:`JobQueue.recover`, then a fresh continuous daemon until the
+queue is empty) and audits the three guarantees.  :func:`chaos_sweep`
+walks every point and returns the triage document the CI
+``service-chaos`` job uploads.
 
 Two more injection points ride along for the client/store layers:
 
@@ -100,7 +103,7 @@ class ChaosOutcome:
 def _daemon(db_path, workers, scale):
     return AnalysisDaemon(
         db_path, workers=workers, scale=scale, retries=1,
-        heartbeat=0.2, poll_interval=0.05,
+        heartbeat=0.2,
     )
 
 
@@ -123,10 +126,11 @@ def _submit_jobs(db_path, profiles, scale):
 
 
 def _chaos_child(db_path, specs, workers, scale):
-    """Child body: arm the fault, drain the queue, exit clean.
+    """Child body: arm the fault, run the dispatcher until the queue
+    is empty, exit clean.
 
-    With a ``kill9`` spec armed the drain dies by SIGKILL at the probe;
-    without (baseline) it processes everything and exits 0.
+    With a ``kill9`` spec armed the dispatcher dies by SIGKILL at the
+    probe; without (baseline) it processes everything and exits 0.
     """
     from repro import faultinject
 
@@ -134,9 +138,9 @@ def _chaos_child(db_path, specs, workers, scale):
         faultinject.install(faultinject.FaultInjector(specs))
     daemon = _daemon(db_path, workers, scale)
     try:
-        daemon.queue.recover()
-        while daemon.run_once():
-            pass
+        daemon.start()
+        while daemon.queue.depth() and daemon.ready()[0]:
+            time.sleep(0.05)
     finally:
         daemon.stop()
     os._exit(0)

@@ -2,15 +2,24 @@
 
 ``AnalysisDaemon`` is the orchestration core every frontend shares
 (REST API, ``dtaint client``, tests driving it in-process).  One
-dispatcher thread loops:
+dispatcher thread runs a single event-driven
+:meth:`FleetScheduler.run <repro.pipeline.scheduler.FleetScheduler.run>`
+loop — the same launch/poll loop a one-shot ``fleet-scan`` uses — fed
+from the durable queue:
 
-1. claim up to ``workers`` pending jobs from the durable queue
-   (priority order);
-2. run them as one batch on the **persistent** scheduler — the warm
-   worker pool survives between batches, so steady-state submissions
-   skip process start-up entirely;
-3. record the batch into the sqlite store (one transaction) and move
-   each queue job to ``done``/``failed``.
+1. **wake** — ``submit``, ``retry_dead``, ``reset_quarantine``,
+   start-up recovery and ``stop`` write a byte to a wake pipe the
+   loop waits on beside the worker pipes, so new work starts at once
+   (``poll_interval`` is only a safety net for rows another process
+   writes into the queue);
+2. **claim per free slot** — the loop claims at most as many pending
+   rows as it has free worker slots (priority order), so a worker
+   freed by a finished job takes the next row immediately; the warm
+   pool survives between jobs, so steady-state submissions skip
+   process start-up entirely;
+3. **publish per job** — each job that settles is recorded into the
+   sqlite store and its queue row moved to ``done``/``failed`` in one
+   transaction, while the other slots keep running.
 
 Telemetry fans out into the store via a sink, so every scheduler
 event (job_start, phase_times, cache_report, job_finish, ...) becomes
@@ -18,11 +27,12 @@ a per-job progress row the API can stream incrementally.
 
 Crash-safe resume: on :meth:`start` the queue's ``running`` leftovers
 from a dead daemon are swept back to ``pending`` and simply get
-re-dispatched; results are only published in the same transaction
-that completes the queue row, so a half-processed batch re-runs
-without duplicating history.
+re-dispatched; a job's results are only published in the same
+transaction that completes its queue row, so a job killed anywhere
+before that commit re-runs without duplicating history.
 """
 
+import os
 import threading
 import time
 
@@ -54,6 +64,110 @@ def fleet_job_from_spec(spec, job_id, default_shards=0):
         member=spec.get("member", ""),
         alias_engine=spec.get("alias_engine") or "dtaint",
     )
+
+
+def _queue_job_id(fleet_id):
+    """The queue row id behind a daemon job id (``q<row id>``)."""
+    if (isinstance(fleet_id, str) and fleet_id[:1] == "q"
+            and fleet_id[1:].isdigit()):
+        return int(fleet_id[1:])
+    return None
+
+
+class _WakePipe:
+    """A self-pipe the dispatcher waits on beside its worker pipes.
+
+    ``set`` writes one byte; ``drain`` consumes every pending byte and
+    says whether there were any.  The feed drains before it claims,
+    so a wake that lands after the drain is never lost.  Both ends are
+    non-blocking: a full pipe already means "wake".
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._read, self._write = os.pipe()
+        os.set_blocking(self._read, False)
+        os.set_blocking(self._write, False)
+
+    def fileno(self):
+        return self._read
+
+    def set(self):
+        with self._lock:
+            if self._write is None:
+                return               # closed: the daemon has stopped
+            try:
+                os.write(self._write, b"\0")
+            except BlockingIOError:
+                pass
+
+    def drain(self):
+        woken = False
+        while True:
+            try:
+                chunk = os.read(self._read, 4096)
+            except BlockingIOError:
+                return woken
+            if not chunk:
+                return woken
+            woken = True
+
+    def close(self):
+        with self._lock:
+            if self._write is not None:
+                os.close(self._write)
+                os.close(self._read)
+                self._write = None
+
+
+class _QueueFeed:
+    """The scheduler's job source over the durable queue.
+
+    ``take(slots)`` claims at most ``slots`` pending rows.  The
+    continuous feed of the dispatcher thread goes to sqlite only when
+    it was woken, when its last claim filled every slot it asked for
+    (more rows may be waiting), or once ``poll_interval`` has passed;
+    it claims nothing while the daemon drains and closes when it
+    stops.  The one-shot feed of :meth:`AnalysisDaemon.run_once`
+    closes as soon as a claim comes back empty.
+    """
+
+    def __init__(self, daemon, continuous):
+        self.daemon = daemon
+        self.continuous = continuous
+        self.wake = daemon._wake if continuous else None
+        self.poll_interval = daemon.poll_interval
+        self.claimed = 0
+        self._backlog = True
+        self._next_poll = 0.0
+
+    def take(self, slots):
+        daemon = self.daemon
+        if self.continuous:
+            if daemon._stop.is_set():
+                return None
+            woken = daemon._wake.drain()
+            if daemon.draining:
+                return []
+            now = time.monotonic()
+            if not (woken or self._backlog or now >= self._next_poll):
+                return []
+            self._next_poll = now + self.poll_interval
+        elif daemon.draining:
+            return None
+        rows = daemon.queue.claim_batch(limit=slots)
+        self._backlog = len(rows) == slots
+        if not rows:
+            return [] if self.continuous else None
+        self.claimed += len(rows)
+        faultinject.check(
+            "service.claim", ",".join(str(row["job_id"]) for row in rows)
+        )
+        return [
+            fleet_job_from_spec(row["spec"], "q%d" % row["job_id"],
+                                daemon.default_shards)
+            for row in rows
+        ]
 
 
 class AnalysisDaemon:
@@ -94,12 +208,11 @@ class AnalysisDaemon:
             heartbeat=heartbeat,
         )
         self.started_ts = time.time()
-        self.batches = 0
         self.jobs_processed = 0
-        self._queue_ids = {}         # fleet job_id -> queue job_id
         self._stop = threading.Event()
         self._thread = None
         self.draining = False
+        self._wake = _WakePipe()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -110,6 +223,7 @@ class AnalysisDaemon:
             self.telemetry.emit("daemon_resume", requeued=resumed)
         self._stop.clear()
         self.draining = False
+        self._wake.set()
         self._thread = threading.Thread(
             target=self._dispatch_loop, name="dtaint-dispatch", daemon=True,
         )
@@ -117,24 +231,26 @@ class AnalysisDaemon:
         return resumed
 
     def stop(self, drain_timeout=60.0):
-        """Graceful drain: finish the in-flight batch, then shut down.
+        """Graceful drain: finish the in-flight jobs, then shut down.
 
-        The dispatcher thread stops claiming immediately; the batch it
-        is mid-way through runs to completion (results published +
-        queue rows finished in their one transaction) up to
-        ``drain_timeout`` seconds.  Everything still ``pending`` is
-        durable in sqlite and simply waits for the next daemon; a
-        batch abandoned by a drain timeout is swept back to pending by
-        the next start-up's :meth:`JobQueue.recover`.
+        The dispatcher stops claiming immediately; the jobs it has in
+        flight run to completion (each published with its queue row
+        finished in one transaction) up to ``drain_timeout`` seconds.
+        Everything still ``pending`` is durable in sqlite and simply
+        waits for the next daemon; a job abandoned by a drain timeout
+        is swept back to pending by the next start-up's
+        :meth:`JobQueue.recover`.
         """
         self.draining = True
         self._stop.set()
+        self._wake.set()
         if self._thread is not None:
             self._thread.join(drain_timeout)
             self._thread = None
         self.scheduler.close()
         self.telemetry.close()
         self.db.close()
+        self._wake.close()
 
     def ready(self):
         """Readiness: accepting work and able to make progress."""
@@ -153,78 +269,61 @@ class AnalysisDaemon:
     # -- dispatch ----------------------------------------------------------
 
     def _dispatch_loop(self):
-        while not self._stop.is_set():
-            if not self.run_once():
-                self._stop.wait(self.poll_interval)
+        self.scheduler.run(source=_QueueFeed(self, continuous=True),
+                           on_result=self._publish)
 
     def run_once(self):
-        """Claim and process one batch; returns the number of jobs.
+        """Drain what is pending now; returns the number of jobs claimed.
 
-        Public so tests (and synchronous embedders) can drive the
-        daemon deterministically without the dispatcher thread.
-
-        Crash safety: the queue rows' terminal states are written by
-        ``record_run``'s finisher *inside the transaction that
-        publishes the results*, so there is no instant at which
-        results exist without their jobs being done (or vice versa).
-        A daemon killed anywhere in this method leaves the jobs in
-        ``running``; the next start-up sweeps them back to pending and
-        the batch re-runs without duplicating history.  The three
-        ``service.*`` fault-injection probes mark the interesting kill
-        points: just after the claim commits, after compute finishes,
-        and inside the publish transaction.
+        Runs the dispatcher's own loop on a one-shot feed that stops
+        claiming once the queue has no pending row, and returns when
+        every claimed job is published.  Public so tests (and
+        synchronous embedders) can drive the daemon deterministically
+        without the dispatcher thread; never call it while that thread
+        runs, since both would share the scheduler.
         """
-        rows = self.queue.claim_batch(limit=self.workers)
-        if not rows:
-            return 0
-        batch_label = ",".join(str(row["job_id"]) for row in rows)
-        faultinject.check("service.claim", batch_label)
-        fleet_jobs = []
-        self._queue_ids = {}
-        for row in rows:
-            fleet_id = "q%d" % row["job_id"]
-            self._queue_ids[fleet_id] = row["job_id"]
-            fleet_jobs.append(
-                fleet_job_from_spec(row["spec"], fleet_id,
-                                    self.default_shards)
-            )
-        start = time.perf_counter()
-        results = self.scheduler.run(fleet_jobs)
-        wall = time.perf_counter() - start
-        faultinject.check("service.dispatch", batch_label)
+        feed = _QueueFeed(self, continuous=False)
+        self.scheduler.run(source=feed, on_result=self._publish)
+        return feed.claimed
 
-        def finish_queue_rows(conn, run_id, image_ids):
-            for row, result in zip(rows, results):
-                if result.ok:
-                    self.queue.finish_in(
-                        conn, row["job_id"], DONE,
-                        image_id=image_ids.get(result.job.job_id),
-                    )
-                else:
-                    self.queue.finish_in(
-                        conn, row["job_id"], FAILED,
-                        error=result.error,
-                        error_type=result.error_type,
-                    )
-            faultinject.check("service.publish", batch_label)
+    def _publish(self, result):
+        """Publish one settled job and finish its queue row.
 
-        run_id, image_ids = self.db.record_run(
-            results, wall, kind="service",
-            queue_job_ids=self._queue_ids,
-            finisher=finish_queue_rows,
+        Crash safety: the queue row's terminal state is written by
+        ``record_run``'s finisher *inside the transaction that
+        publishes the job's results*, so there is no instant at which
+        results exist without their job being done (or vice versa).
+        A daemon killed before that commit leaves the job in
+        ``running``; the next start-up sweeps it back to pending and
+        it re-runs without duplicating history.  The three
+        ``service.*`` fault-injection probes mark the interesting kill
+        points: just after a claim commits, after a job computed, and
+        inside its publish transaction.
+        """
+        fleet_id = result.job.job_id
+        queue_job_id = _queue_job_id(fleet_id)
+        label = str(queue_job_id)
+        faultinject.check("service.dispatch", label)
+
+        def finish_queue_row(conn, run_id, image_ids):
+            if result.ok:
+                self.queue.finish_in(conn, queue_job_id, DONE,
+                                     image_id=image_ids.get(fleet_id))
+            else:
+                self.queue.finish_in(conn, queue_job_id, FAILED,
+                                     error=result.error,
+                                     error_type=result.error_type)
+            faultinject.check("service.publish", label)
+
+        self.db.record_run(
+            [result], result.elapsed, kind="service",
+            queue_job_ids={fleet_id: queue_job_id},
+            finisher=finish_queue_row,
         )
-        self.batches += 1
-        self.jobs_processed += len(rows)
-        self.telemetry.emit(
-            "batch_finish", run_id=run_id, jobs=len(rows),
-            wall_seconds=round(wall, 4),
-            warm_workers=self.scheduler.pool.warm_count,
-        )
-        return len(rows)
+        self.jobs_processed += 1
 
     def _event_sink(self, record):
-        queue_job_id = self._queue_ids.get(record.get("job"))
-        self.db.append_event(queue_job_id, record)
+        self.db.append_event(_queue_job_id(record.get("job")), record)
 
     # -- frontends ---------------------------------------------------------
 
@@ -241,6 +340,7 @@ class AnalysisDaemon:
                 raise QueueFull(depth, self.max_queue_depth,
                                 retry_after=self.retry_after)
         job_id, outcome = self.queue.submit(spec, priority=priority)
+        self._wake.set()
         self.telemetry.emit(
             "job_submitted", queue_job_id=job_id, outcome=outcome,
             kind=spec.get("kind", ""),
@@ -249,6 +349,19 @@ class AnalysisDaemon:
         job = self.queue.get(job_id)
         job["outcome"] = outcome
         return job
+
+    def retry_dead(self, job_id):
+        """Requeue a dead-lettered job (:meth:`JobQueue.retry_dead`)."""
+        outcome = self.queue.retry_dead(job_id)
+        self._wake.set()
+        return outcome
+
+    def reset_quarantine(self, dedup_key):
+        """Clear an image's circuit breaker, making its pending rows
+        claimable again (:meth:`JobQueue.reset_quarantine`)."""
+        removed = self.queue.reset_quarantine(dedup_key)
+        self._wake.set()
+        return removed
 
     def job_status(self, job_id):
         return self.queue.get(job_id)
@@ -287,7 +400,6 @@ class AnalysisDaemon:
                 self.scheduler.pool.spawned_total
                 if self.scheduler._pool is not None else 0
             ),
-            "batches": self.batches,
             "jobs_processed": self.jobs_processed,
             "draining": self.draining,
             "queue_depth": self.queue.depth(),

@@ -237,8 +237,8 @@ class JobQueue:
     def finish_in(self, conn, job_id, state, image_id=None, error="",
                   error_type=""):
         """Apply one job's terminal disposition inside an open
-        transaction (the daemon folds these into the same transaction
-        that publishes the batch's results); returns the state the job
+        transaction (the daemon folds this into the same transaction
+        that publishes the job's results); returns the state the job
         actually landed in (a failure may escalate to ``dead``).
         """
         if state == FAILED:

@@ -5,7 +5,8 @@ the results codec (:mod:`repro.pipeline.results`) verbatim, with
 queryable history; the codec's JSON run directory is their export
 format, bridged by :func:`migrate_output_dir`/:func:`export_run_dir`:
 
-* ``runs`` — one row per fleet batch (rollup document verbatim);
+* ``runs`` — one row per fleet run or published service job (rollup
+  document verbatim);
 * ``images`` — one row per analysed image, carrying the **exact**
   per-image document :func:`repro.pipeline.results.image_document`
   builds, plus indexed columns (status, findings_sha256, target);
@@ -280,7 +281,7 @@ class ResultsDB:
 
     def record_run(self, results, wall_seconds, kind="fleet", source="",
                    queue_job_ids=None, finisher=None):
-        """Build one batch's documents and :meth:`import_run` them."""
+        """Build one run's documents and :meth:`import_run` them."""
         return self.import_run(
             rollup_document(results, wall_seconds),
             [image_document(result) for result in results],

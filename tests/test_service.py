@@ -16,6 +16,7 @@ Covers the acceptance properties of DTaint-as-a-service:
 
 import json
 import os
+import signal
 import threading
 import time
 
@@ -56,9 +57,10 @@ _VULN_ASM = (
 )
 
 
-def _small_elf():
+def _small_elf(env="CMD"):
     elf_bytes, _ = build_executable(
-        "arm", _VULN_ASM, imports=["getenv", "system"]
+        "arm", _VULN_ASM.replace('"CMD"', '"%s"' % env),
+        imports=["getenv", "system"],
     )
     return elf_bytes
 
@@ -68,6 +70,18 @@ def elf_path(tmp_path):
     path = tmp_path / "handler.elf"
     path.write_bytes(_small_elf())
     return str(path)
+
+
+def _wait_state(daemon, job_id, state, timeout=60.0):
+    """Poll a queue row until it reaches ``state``; returns the row."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        row = daemon.job_status(job_id)
+        if row["state"] == state:
+            return row
+        time.sleep(0.02)
+    raise AssertionError("job %d stuck in %r after %.0fs"
+                         % (job_id, row["state"], timeout))
 
 
 def _job_result(elf_path, job_id="img"):
@@ -479,13 +493,89 @@ class TestDaemon:
         first.db.close()
         with AnalysisDaemon(db_path, workers=1) as second:
             assert second.start() == 1         # recovered the claim
-            deadline = time.monotonic() + 60
-            while time.monotonic() < deadline:
-                status = second.job_status(job["job_id"])
-                if status["state"] == "done":
-                    break
-                time.sleep(0.05)
-            assert second.job_status(job["job_id"])["state"] == "done"
+            _wait_state(second, job["job_id"], "done")
+
+
+    def test_submit_wakes_an_idle_dispatcher(self, tmp_path):
+        """The safety-net poll (30 s) is far past the bound: only the
+        submit wake can get a job to an idle dispatcher in time."""
+        paths = []
+        for env in ("FIRST", "SECOND"):
+            path = tmp_path / ("%s.elf" % env.lower())
+            path.write_bytes(_small_elf(env))
+            paths.append(str(path))
+        with AnalysisDaemon(str(tmp_path / "dtaint.sqlite"), workers=1,
+                            poll_interval=30) as daemon:
+            daemon.start()
+            # The first job leaves the dispatcher idle behind it.
+            for path in paths:
+                started = time.monotonic()
+                job = daemon.submit(job_spec("elf", path=path))
+                _wait_state(daemon, job["job_id"], "done", timeout=10.0)
+                assert time.monotonic() - started < 10.0
+
+    def test_draining_daemon_claims_nothing(self, tmp_path, elf_path):
+        db_path = str(tmp_path / "dtaint.sqlite")
+        daemon = AnalysisDaemon(db_path, workers=1)
+        daemon.start()
+        daemon.draining = True
+        job = daemon.submit(job_spec("elf", path=elf_path))
+        # The submit wakes the dispatcher; a loop that ignored the
+        # drain would claim the row within milliseconds.
+        time.sleep(0.5)
+        assert daemon.job_status(job["job_id"])["state"] == "pending"
+        daemon.stop()
+        with ResultsDB(db_path) as db:
+            assert JobQueue(db).get(job["job_id"])["state"] == "pending"
+
+    def test_small_job_is_not_held_behind_a_slow_one(self, tmp_path):
+        """Two slots: a job submitted after a stuck one finishes and
+        publishes on its own while the stuck one is still running."""
+        slow = tmp_path / "slow.elf"
+        slow.write_bytes(_small_elf("SLOW"))
+        small = tmp_path / "small.elf"
+        small.write_bytes(_small_elf("SMALL"))
+        daemon = AnalysisDaemon(str(tmp_path / "dtaint.sqlite"), workers=2)
+
+        def worker_pids(job_id):
+            return [event["pid"] for event in daemon.job_events(job_id)
+                    if event["event"] == "job_start"]
+
+        slow_job = None
+        # Workers fork after the injector is armed and inherit it: the
+        # slow job's worker freezes at its loader probe until SIGCONT.
+        with injected(["sigstop@loader:%s" % slow]):
+            try:
+                daemon.start()
+                slow_job = daemon.submit(job_spec("elf", path=str(slow)))
+                small_job = daemon.submit(job_spec("elf", path=str(small)))
+                small_row = _wait_state(daemon, small_job["job_id"], "done")
+                assert daemon.job_status(slow_job["job_id"])["state"] \
+                    == "running"
+                [frozen] = worker_pids(slow_job["job_id"])
+                os.kill(frozen, signal.SIGCONT)
+                slow_row = _wait_state(daemon, slow_job["job_id"], "done")
+                assert small_row["finished_ts"] < slow_row["finished_ts"]
+                # One publish per job: each has its own run and image row.
+                with daemon.db._lock:
+                    images = daemon.db._conn.execute(
+                        "SELECT image_id, queue_job_id, run_id FROM images"
+                    ).fetchall()
+                assert sorted(
+                    (row["queue_job_id"], row["image_id"]) for row in images
+                ) == sorted([
+                    (small_job["job_id"], small_row["image_id"]),
+                    (slow_job["job_id"], slow_row["image_id"]),
+                ])
+                assert len({row["run_id"] for row in images}) == 2
+            finally:
+                for pid in (worker_pids(slow_job["job_id"])
+                            if slow_job else ()):
+                    try:
+                        os.kill(pid, signal.SIGCONT)
+                    except ProcessLookupError:
+                        pass
+                daemon.stop()
 
 
 # ---------------------------------------------------------------------------
