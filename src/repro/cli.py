@@ -966,7 +966,10 @@ def main(argv=None):
     fleet_scan.add_argument("--no-cache", action="store_true",
                             help="disable all caching for this run")
     fleet_scan.add_argument("--no-report-cache", action="store_true",
-                            help="keep summary reuse but always re-detect")
+                            help="skip the per-binary report cache but "
+                                 "keep summary reuse; with --incremental "
+                                 "the fleet index's image layer still "
+                                 "serves whole reports")
     fleet_scan.add_argument("--incremental", action="store_true",
                             help="layer the content-addressed fleet index "
                                  "over the per-binary caches: summaries "

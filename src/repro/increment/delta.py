@@ -25,6 +25,9 @@ byte-identical delta regardless of worker count or exploration order
 — the same determinism contract the golden corpus enforces for scans.
 """
 
+import tempfile
+from dataclasses import replace
+
 from repro.pipeline.results import canonical_digest, canonical_report
 
 DELTA_FORMAT_VERSION = 1
@@ -182,58 +185,52 @@ def scan_image(path, config=None, cache_dir=None, member=""):
     without an ELF magic goes through the recursive extractor, and
     ``member`` selects which embedded binary to scan (default: the
     preferred network-facing target), so a delta can compare two
-    *image* releases directly.
+    *image* releases directly.  The scan is an ordinary fleet job run
+    through :func:`~repro.pipeline.scheduler.execute_job` on the fleet
+    index under ``cache_dir`` (a throwaway directory when ``None``).
+    ``config`` may set only ``modules`` and ``alias_engine``, the two
+    knobs a job carries.
     """
-    from repro.core import DTaint, DTaintConfig
-    from repro.increment.reuse import open_incremental_cache
-    from repro.loader.binary import load_elf
-    from repro.pipeline.cache import binary_sha256
+    if cache_dir is None:
+        with tempfile.TemporaryDirectory(prefix="dtaint-delta-") as tmp:
+            return scan_image(path, config=config, cache_dir=tmp,
+                              member=member)
+    from repro.core import DTaintConfig
+    from repro.errors import PipelineError
+    from repro.pipeline.scheduler import FleetJob, execute_job, job_config
 
-    with open(path, "rb") as handle:
-        data = handle.read()
-    name = path
-    if data[:4] != b"\x7fELF" or member:
-        from repro.pipeline.scheduler import extract_member
-
-        display, data = extract_member(data, member, name=path)
-        name = "%s!%s" % (path, display)
-    sha = binary_sha256(data)
-    binary = load_elf(data, name=name)
     config = config or DTaintConfig()
-    cache = (
-        open_incremental_cache(cache_dir, sha, config)
-        if cache_dir else None
+    with open(path, "rb") as handle:
+        is_elf = handle.read(4) == b"\x7fELF"
+    job = FleetJob(
+        job_id=path, kind="elf" if is_elf and not member else "firmware",
+        path=path, member=member, modules=tuple(config.modules),
+        alias_engine=config.alias_engine,
     )
-    detector = DTaint(binary, config=config, name=name, summary_cache=cache)
-    report = detector.run()
-    if cache is not None:
-        cache.flush()
-        fingerprints = {
-            name: {"local": fp.local, "closure": fp.closure}
-            for name, fp in cache.fingerprints.items()
-        }
-        cache_stats = cache.stats
-    else:
-        from repro.increment.fingerprint import fingerprint_functions
-
-        fingerprints = {
-            name: {"local": fp.local, "closure": fp.closure}
-            for name, fp in fingerprint_functions(
-                binary, detector.functions, detector.call_graph
-            ).items()
-        }
-        cache_stats = {}
+    if job_config(job) != replace(config, modules=job.modules):
+        raise PipelineError("delta scans take only modules and "
+                            "alias_engine from the config")
+    payload = execute_job(job, cache_dir=cache_dir, use_fleet_index=True)
     return {
-        "name": name,
-        "sha256": sha,
-        "findings": canonical_report(report.to_dict()),
-        "fingerprints": fingerprints,
-        "cache": cache_stats,
+        "name": payload["name"],
+        "sha256": payload["sha256"],
+        "findings": canonical_report(payload["report"]),
+        "fingerprints": payload["fingerprints"],
+        "cache": payload["cache"],
     }
 
 
 def run_delta(old_path, new_path, config=None, cache_dir=None):
-    """Scan both images and return (delta_doc, old_image, new_image)."""
+    """Scan both images and return (delta_doc, old_image, new_image).
+
+    Both scans share one fleet index — ``cache_dir``, or a throwaway
+    directory when ``None`` — so the new image reuses the summaries
+    of every function whose closure the old image already analysed.
+    """
+    if cache_dir is None:
+        with tempfile.TemporaryDirectory(prefix="dtaint-delta-") as tmp:
+            return run_delta(old_path, new_path, config=config,
+                             cache_dir=tmp)
     old_image = scan_image(old_path, config=config, cache_dir=cache_dir)
     new_image = scan_image(new_path, config=config, cache_dir=cache_dir)
     return compute_delta(old_image, new_image), old_image, new_image

@@ -11,13 +11,20 @@ code **is** rather than where it was found:
 * ``<cache>/fleet/img/<xx>/<imagefp>-<reportfp>.json`` — one whole
   findings document per (image fingerprint, report-config
   fingerprint); reused when a rebuilt image has an identical function
-  closure set and the layout shifted rigidly.
+  closure set and the layout shifted rigidly;
+* ``<cache>/fleet/img/sha/<xx>/<sha>-<reportfp>.json`` — the same
+  findings document keyed by the exact bytes (binary sha256, report-
+  config fingerprint), together with the closure fingerprints
+  (``name -> {local, closure}``) that ``--baseline`` deltas compare.
+  It needs no CFG to compute, so a byte-identical rescan is answered
+  before CFG recovery; both image keys live under ``fleet/img``, so
+  deleting that directory drops every whole-report record.
 
 Records are self-describing (``version`` = ``CACHE_FORMAT_VERSION``);
-stale or undecodable records read as misses and are quarantined the
-same way the per-binary bundles are.  Writes are atomic and
-content-addressed, so racing fleet workers can only ever write the
-same bytes to the same key.
+stale, undecodable or ill-typed records read as misses and are
+quarantined the same way the per-binary bundles are.  Writes are
+atomic and content-addressed, so racing fleet workers can only ever
+write the same bytes to the same key.
 """
 
 import json
@@ -28,6 +35,7 @@ from repro.core.interproc import deserialize_summary, serialize_summary
 from repro.pipeline.cache import (
     CACHE_FORMAT_VERSION,
     _atomic_write,
+    _load_json_record,
     _quarantine,
 )
 
@@ -53,6 +61,10 @@ class FleetIndex:
     def _image_path(self, image_fp, report_fp):
         name = "%s-%s.json" % (image_fp, report_fp)
         return os.path.join(self.root, "img", image_fp[:2], name)
+
+    def _exact_path(self, sha, report_fp):
+        name = "%s-%s.json" % (sha, report_fp)
+        return os.path.join(self.root, "img", "sha", sha[:2], name)
 
     # -- summaries ---------------------------------------------------------
 
@@ -113,34 +125,44 @@ class FleetIndex:
         """(report_dict, entries {name: old_addr}) or ``None``."""
         if not image_fp or not report_fp:
             return None
-        path = self._image_path(image_fp, report_fp)
+        record = self._read_json(self._image_path(image_fp, report_fp),
+                                 {"report": dict, "entries": dict})
+        return None if record is None else (record["report"],
+                                            record["entries"])
+
+    def put_image_report(self, image_fp, report_fp, report_dict, entries):
+        if image_fp and report_fp:
+            self._write_json(self._image_path(image_fp, report_fp),
+                             report=report_dict, entries=entries)
+
+    def get_exact_report(self, sha, report_fp):
+        """(report_dict, fingerprints) for these exact bytes, or ``None``."""
+        if not report_fp:
+            return None
+        record = self._read_json(self._exact_path(sha, report_fp),
+                                 {"report": dict, "fingerprints": dict})
+        return None if record is None else (record["report"],
+                                            record["fingerprints"])
+
+    def put_exact_report(self, sha, report_fp, report_dict, fingerprints):
+        if report_fp:
+            self._write_json(self._exact_path(sha, report_fp),
+                             report=report_dict, fingerprints=fingerprints)
+
+    def _read_json(self, path, fields):
         try:
-            with open(path, "r") as handle:
-                record = json.load(handle)
+            return _load_json_record(path, fields)
         except FileNotFoundError:
             return None
         except (OSError, ValueError):
             self.corrupt += 1
             _quarantine(path)
             return None
-        if (not isinstance(record, dict)
-                or record.get("version") != CACHE_FORMAT_VERSION):
-            self.corrupt += 1
-            _quarantine(path)
-            return None
-        return record.get("report"), record.get("entries", {})
 
-    def put_image_report(self, image_fp, report_fp, report_dict, entries):
-        if not image_fp or not report_fp:
-            return
-        path = self._image_path(image_fp, report_fp)
+    def _write_json(self, path, **fields):
         if os.path.exists(path):
             return
-        record = {
-            "version": CACHE_FORMAT_VERSION,
-            "report": report_dict,
-            "entries": entries,
-        }
+        record = dict(fields, version=CACHE_FORMAT_VERSION)
         _atomic_write(
             path, json.dumps(record, sort_keys=True).encode("utf-8")
         )

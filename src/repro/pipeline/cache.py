@@ -40,6 +40,13 @@ Two addressing schemes coexist, from most to least specific:
   on, its image layer replaces :class:`ReportCache` as the one
   whole-report store, for reads and writes alike
   (:class:`repro.pipeline.scheduler.JobCache` holds that policy).
+  The image layer has two keys.  The exact-bytes key
+  ``(binary-sha256, report-fingerprint)``
+  (``<dir>/fleet/img/sha/...``) is probed first, straight after the
+  binary is loaded: a byte-identical rescan is served with no
+  lifting, CFG recovery or fingerprinting.  Only on its miss does the
+  job recover the CFG and probe the closure-set key, which also
+  matches relinked and rebased images.
 
 Both layers share ``config-fingerprint`` semantics (only the knobs
 that shape the artefact participate) and ``CACHE_FORMAT_VERSION``.
@@ -132,6 +139,27 @@ def _atomic_write(path, data):
     with open(tmp, "wb") as handle:
         handle.write(data)
     os.replace(tmp, path)
+
+
+def _load_json_record(path, fields=None):
+    """The current-format JSON cache record stored at ``path``.
+
+    Raises ``FileNotFoundError`` when the record is absent and
+    ``ValueError`` when its bytes do not decode, its ``version`` is not
+    :data:`CACHE_FORMAT_VERSION`, or a field named in ``fields``
+    (``name -> type``) has another type.  The fleet index's image layer
+    quarantines on ``ValueError``; ``cache gc`` deletes.
+    """
+    with open(path, "rb") as handle:
+        record = json.loads(handle.read())
+    if (not isinstance(record, dict)
+            or record.get("version") != CACHE_FORMAT_VERSION):
+        raise ValueError("stale cache record %s" % path)
+    for name, kind in (fields or {}).items():
+        if not isinstance(record.get(name), kind):
+            raise ValueError("ill-typed %r in cache record %s"
+                             % (name, path))
+    return record
 
 
 def _quarantine(path):
@@ -354,6 +382,19 @@ def _gc_fleet_record(path, dry_run, stats):
             os.unlink(path)
 
 
+def _gc_image_record(path, dry_run, stats):
+    """Drop a stale-format or undecodable fleet image record."""
+    try:
+        _load_json_record(path)
+    except FileNotFoundError:
+        pass
+    except (OSError, ValueError):
+        stats["files_removed"] += 1
+        stats["bytes_freed"] += _file_size(path)
+        if not dry_run:
+            os.unlink(path)
+
+
 def _file_size(path):
     try:
         return os.path.getsize(path)
@@ -365,8 +406,10 @@ def collect_garbage(root, dry_run=False):
     """Prune quarantine leftovers and stale-format cache entries.
 
     Removes ``*.corrupt`` quarantine files and orphaned ``*.tmp.*``
-    writes anywhere under ``root``, deletes fleet-index records whose
-    format version predates :data:`CACHE_FORMAT_VERSION`, and rewrites
+    writes anywhere under ``root``, deletes fleet-index records (per-
+    function summaries and whole-image reports of both keys) that do
+    not decode or whose format version is not
+    :data:`CACHE_FORMAT_VERSION`, and rewrites
     summary bundles dropping blobs older than the current summary
     format (deleting bundles left empty).  With ``dry_run`` nothing is
     touched; the returned stats describe what *would* happen either
@@ -398,4 +441,7 @@ def collect_garbage(root, dry_run=False):
             elif (os.sep + os.path.join("fleet", "sum") + os.sep in path
                     and filename.endswith(".pkl")):
                 _gc_fleet_record(path, dry_run, stats)
+            elif (os.sep + os.path.join("fleet", "img") + os.sep in path
+                    and filename.endswith(".json")):
+                _gc_image_record(path, dry_run, stats)
     return stats

@@ -212,10 +212,14 @@ class JobCache:
     and whole reports in :class:`ReportCache` (``use_report_cache``).
     With it, summaries are the bundle layered over the content-
     addressed index (:mod:`repro.increment`) and the index's image
-    layer is the only whole-report store: it subsumes the per-sha
-    probe (a byte-identical binary always matches its own closures)
-    and, unlike it, yields the closure fingerprints that --baseline
-    deltas compare against.  ``cache_dir=None`` disables every layer.
+    layer is the only whole-report store, with two keys.  The exact-
+    bytes key (member sha256) answers a byte-identical rescan before
+    any CFG recovery and stores the closure fingerprints that
+    --baseline deltas compare against; the closure-set key, which
+    needs the CFG, also matches relinked or rebased images.  Every
+    publish and every closure-key hit writes the exact record, so an
+    image served once by relocation is an exact hit the next time.
+    ``cache_dir=None`` disables every layer.
 
     The unsharded path and all three shard phases go through this
     class, so sharded and unsharded runs read, write and count the
@@ -230,6 +234,7 @@ class JobCache:
         self.summaries = None    # the store handed to the detector
         self.bundle = None       # its per-binary summary bundle
         self.incremental = bool(cache_dir and use_fleet_index)
+        self._fingerprints = None   # served by an exact-key hit
         self._flags = {}
         self._absorbed = {}
         if not cache_dir:
@@ -249,8 +254,9 @@ class JobCache:
     def lookup(self, detector):
         """The whole cached report for this job, or ``None``.
 
-        The image layer needs the closure fingerprints, so in
-        incremental mode this recovers the detector's CFG first.
+        In incremental mode the exact-bytes key is probed first, with
+        no CFG.  Only on its miss does this recover the detector's CFG
+        to compute the closure fingerprints the closure-set key needs.
         """
         if self.reports is not None:
             report_dict = self.reports.get(self.sha, self.report_fp)
@@ -259,6 +265,12 @@ class JobCache:
             return report_dict
         if not self.incremental:
             return None
+        exact = self.summaries.index.get_exact_report(self.sha,
+                                                      self.report_fp)
+        if exact is not None:
+            report_dict, self._fingerprints = exact
+            self._flags["image_findings_hit"] = True
+            return report_dict
         # Whole-image reuse: if every function's closure fingerprint
         # matches a previously analysed image (same config), its
         # findings apply verbatim modulo a uniform address shift.
@@ -266,6 +278,7 @@ class JobCache:
         report_dict = self.summaries.lookup_image_report(self.report_fp)
         if report_dict is not None:
             self._flags["image_findings_hit"] = True
+            self._put_exact(report_dict)
         return report_dict
 
     def publish(self, report_dict):
@@ -274,6 +287,13 @@ class JobCache:
             self.reports.put(self.sha, self.report_fp, report_dict)
         elif self.incremental:
             self.summaries.store_image_report(self.report_fp, report_dict)
+            self._put_exact(report_dict)
+
+    def _put_exact(self, report_dict):
+        self.summaries.index.put_exact_report(
+            self.sha, self.report_fp, report_dict,
+            self.summaries.closure_fingerprints(),
+        )
 
     def seed(self, binary, fingerprints_blob):
         """Adopt the plan's full-graph closure fingerprints (shards)."""
@@ -335,15 +355,22 @@ class JobCache:
             )
         return stats
 
-    def result(self, report_dict, resources, fired_faults=()):
-        """The completed-job payload for ``report_dict``."""
+    def result(self, name, report_dict, resources, fired_faults=()):
+        """The completed-job payload for ``report_dict``.
+
+        ``name`` is the binary's display name in this job; a cached
+        report may carry the name it was first analysed under.
+        """
+        fingerprints = self._fingerprints
+        if fingerprints is None and self.incremental:
+            fingerprints = self.summaries.closure_fingerprints()
         return {
             "status": "ok",
+            "name": name,
             "report": report_dict,
             "sha256": self.sha,
             "cache": self.stats,
-            "fingerprints": (self.summaries.closure_fingerprints()
-                             if self.incremental else None),
+            "fingerprints": fingerprints,
             "fired_faults": list(fired_faults),
             "resources": resources,
         }
@@ -463,7 +490,7 @@ def execute_job(job, attempt=1, cache_dir=None, use_report_cache=True,
         if injector is not None:
             faultinject.uninstall()
     return cache.result(
-        report_dict,
+        name, report_dict,
         resources={
             "wall_seconds": usage.wall_seconds,
             "cpu_seconds": usage.cpu_seconds,

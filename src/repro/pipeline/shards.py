@@ -395,7 +395,7 @@ def _execute_plan(job, attempt, options):
         "build_seconds": build_seconds,
     }
     if report_dict is not None:
-        return cache.result(report_dict, resources)
+        return cache.result(name, report_dict, resources)
     return {
         "status": "plan",
         "sha256": sha,
@@ -606,7 +606,7 @@ def _execute_merge(job, options):
                 os.unlink(path)
             except OSError:
                 pass
-    payload = cache.result(report_dict, resources={
+    payload = cache.result(sp["bin_name"], report_dict, resources={
         "wall_seconds": usage.wall_seconds,
         "cpu_seconds": usage.cpu_seconds,
         "max_rss_mb": usage.max_rss_mb,

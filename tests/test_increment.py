@@ -11,6 +11,9 @@ Acceptance properties:
 * re-scanning an unchanged image through the fleet index alone runs
   **zero** symbolic executions; a one-handler mutation re-runs exactly
   the changed Merkle closure;
+* a byte-identical rescan is served by the exact-bytes image key
+  without CFG recovery, with the cold findings and fingerprints, at any
+  shard count; a damaged exact record falls back to the closure key;
 * delta reports classify the injected patch as `fixed` with nothing
   spurious, and a self-delta is empty and byte-identical;
 * `cache gc` prunes quarantine/tmp/stale-version files; JSON run
@@ -20,13 +23,14 @@ Acceptance properties:
 import json
 import os
 import pickle
+from dataclasses import replace
 
 import pytest
 
 from repro import profiling
 from repro.core import DTaint, DTaintConfig
 from repro.corpus.fleet import build_version_pair
-from repro.corpus.profiles import analyzed_module_prefixes
+from repro.corpus.profiles import analyzed_module_prefixes, build_firmware
 from repro.errors import MalformedInput
 from repro.faultinject import injected
 from repro.increment import (
@@ -45,6 +49,7 @@ from repro.loader.binary import load_elf
 from repro.loader.link import build_executable
 from repro.pipeline import (
     FleetJob,
+    FleetScheduler,
     binary_sha256,
     canonical_report,
     collect_garbage,
@@ -58,6 +63,7 @@ from repro.pipeline.results import (
     rollup_document,
     write_run_dir,
 )
+from repro.pipeline.telemetry import Telemetry
 
 SCALE = 0.05
 KEY = "dir645"
@@ -80,6 +86,40 @@ def _fingerprint(built, config):
         built.binary, detector.functions, detector.call_graph
     )
     return detector, fps
+
+
+def _elf_job(directory, built, job_id="elf", shards=0):
+    """An ``elf`` job over ``built``'s bytes, written under ``directory``."""
+    path = directory / ("%s.elf" % job_id)
+    path.write_bytes(built.elf_bytes)
+    return FleetJob(job_id=job_id, kind="elf", path=str(path),
+                    modules=analyzed_module_prefixes(KEY), shards=shards)
+
+
+def _symexec_job(job, cache_dir):
+    """(payload, symbolic executions) of one fleet-index run of ``job``."""
+    before = profiling.PROFILER.snapshot()
+    payload = execute_job(job, cache_dir=cache_dir, use_fleet_index=True)
+    counters = profiling.delta(before, profiling.PROFILER.snapshot())
+    return payload, counters["counters"].get("symexec_functions", 0)
+
+
+def _exact_records(cache_dir):
+    """Paths of the exact-bytes image records under ``cache_dir``."""
+    root = os.path.join(cache_dir, "fleet", "img", "sha")
+    return sorted(
+        os.path.join(dirpath, name)
+        for dirpath, _dirnames, names in os.walk(root)
+        for name in names if name.endswith(".json")
+    )
+
+
+def _refuse_cfg(monkeypatch):
+    """Make any CFG recovery in this process fail the test."""
+    def refuse(self):
+        raise AssertionError("CFG recovered for a byte-identical image")
+
+    monkeypatch.setattr(DTaint, "build_cfg", refuse)
 
 
 def _scan_image(built, cache_dir, config):
@@ -296,6 +336,94 @@ class TestIncrementalScan:
             findings_fingerprint(cold["report"])
 
 
+class TestExactImageKey:
+    """The image layer's ``(member sha256, report fingerprint)`` key."""
+
+    def _cold(self, tmp_path, version_pair):
+        job = _elf_job(tmp_path, version_pair[0])
+        cache_dir = str(tmp_path / "cache")
+        cold = execute_job(job, cache_dir=cache_dir, use_fleet_index=True)
+        assert len(_exact_records(cache_dir)) == 1
+        return job, cache_dir, cold
+
+    def _assert_same(self, warm, cold):
+        assert warm["cache"]["image_findings_hit"]
+        assert findings_fingerprint(warm["report"]) == \
+            findings_fingerprint(cold["report"])
+        assert warm["fingerprints"] == cold["fingerprints"]
+
+    def test_byte_identical_rescan_skips_cfg(self, tmp_path, version_pair,
+                                             monkeypatch):
+        job, cache_dir, cold = self._cold(tmp_path, version_pair)
+        _refuse_cfg(monkeypatch)
+        warm, symexec = _symexec_job(job, cache_dir)
+        assert symexec == 0
+        assert warm["cache"]["cache_corrupt"] == 0
+        self._assert_same(warm, cold)
+
+    @pytest.mark.parametrize("damage", ["undecodable", "stale", "ill_typed"])
+    def test_damaged_record_falls_back_to_closure_key(
+        self, tmp_path, version_pair, damage
+    ):
+        job, cache_dir, cold = self._cold(tmp_path, version_pair)
+        record, = _exact_records(cache_dir)
+        with open(record) as handle:
+            doc = json.load(handle)
+        if damage == "stale":
+            doc["version"] = CACHE_FORMAT_VERSION - 1
+        elif damage == "ill_typed":
+            doc["fingerprints"] = sorted(doc["fingerprints"])
+        blob = (b"{\"version\": " if damage == "undecodable"
+                else json.dumps(doc).encode("utf-8"))
+        with open(record, "wb") as handle:
+            handle.write(blob)
+        warm, symexec = _symexec_job(job, cache_dir)
+        assert warm["cache"]["cache_corrupt"] == 1
+        assert os.path.exists(record + ".corrupt")
+        assert symexec == 0
+        self._assert_same(warm, cold)
+        # The closure-key hit wrote a clean record back.
+        assert _exact_records(cache_dir) == [record]
+
+    def test_closure_hit_backfills_exact_record(self, tmp_path, version_pair,
+                                                monkeypatch):
+        job, cache_dir, cold = self._cold(tmp_path, version_pair)
+        for record in _exact_records(cache_dir):
+            os.unlink(record)
+        second, _ = _symexec_job(job, cache_dir)
+        self._assert_same(second, cold)
+        assert len(_exact_records(cache_dir)) == 1
+        _refuse_cfg(monkeypatch)
+        third, symexec = _symexec_job(job, cache_dir)
+        assert symexec == 0
+        self._assert_same(third, cold)
+
+    def test_sharded_run_hits_at_plan_phase(self, tmp_path, monkeypatch):
+        # The smallest dir645 build whose cost clears two shards.
+        built = build_firmware(KEY, scale=0.25)
+        job = _elf_job(tmp_path, built, shards=2)
+        flat = execute_job(replace(job, shards=0),
+                           cache_dir=str(tmp_path / "flat"),
+                           use_fleet_index=True)
+        cache_dir = str(tmp_path / "sharded")
+        events = []
+        telemetry = Telemetry()
+        telemetry.add_sink(lambda record: events.append(dict(record)))
+        with FleetScheduler(jobs=1, backoff=0.0, telemetry=telemetry,
+                            cache_dir=cache_dir,
+                            use_fleet_index=True) as scheduler:
+            cold, = scheduler.run([job])
+        assert cold.ok, cold.error
+        assert any(event["event"] == "shard_plan" and event["shards"] >= 2
+                   for event in events)
+        _refuse_cfg(monkeypatch)
+        warm, symexec = _symexec_job(replace(job, shard_phase="plan"),
+                                     cache_dir)
+        assert warm["status"] == "ok"
+        assert symexec == 0
+        self._assert_same(warm, flat)
+
+
 class TestDelta:
     def _image(self, built, report):
         _, fps = _fingerprint(
@@ -417,6 +545,40 @@ class TestCacheGC:
         clear_binary_bundles(str(tmp_path))
         _, warm = _scan_image(old_built, str(tmp_path), config)
         assert warm.stats["summary_misses"] == 0
+
+    def test_gc_prunes_stale_image_records(self, tmp_path, version_pair):
+        cache_dir = str(tmp_path / "cache")
+        job = _elf_job(tmp_path, version_pair[0])
+        execute_job(job, cache_dir=cache_dir, use_fleet_index=True)
+        img = os.path.join(cache_dir, "fleet", "img")
+        live = sorted(
+            os.path.join(dirpath, name)
+            for dirpath, _dirnames, names in os.walk(img) for name in names
+        )
+        assert live
+        stale = [os.path.join(img, "ab", "ab-old.json"),
+                 os.path.join(img, "sha", "cd", "cd-old.json"),
+                 os.path.join(img, "sha", "ef", "ef-torn.json")]
+        for path, blob in zip(stale, [
+            {"version": CACHE_FORMAT_VERSION - 1, "report": {},
+             "entries": {}},
+            {"version": CACHE_FORMAT_VERSION - 1, "report": {},
+             "fingerprints": {}},
+            None,
+        ]):
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "wb") as handle:
+                handle.write(b"{\"vers" if blob is None
+                             else json.dumps(blob).encode("utf-8"))
+        stats = collect_garbage(cache_dir)
+        assert stats["files_removed"] == len(stale)
+        for path in stale:
+            assert not os.path.exists(path)
+        for path in live:
+            assert os.path.exists(path)
+        warm = execute_job(job, cache_dir=cache_dir, use_fleet_index=True)
+        assert warm["cache"]["image_findings_hit"]
+        assert warm["cache"]["cache_corrupt"] == 0
 
 
 class TestAtomicResults:
