@@ -14,7 +14,7 @@ heap objects identified by the hash of the callsite chain.
 
 import pickle
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro import faultinject
 from repro.core import libc
@@ -214,16 +214,19 @@ class InterproceduralAnalysis:
     def run(self, names=None, on_fault=None):
         """Process functions callees-first; every function exactly once.
 
-        With ``on_fault`` set, a fault while enriching one function
-        calls ``on_fault(name, summary, exc)`` and drops only that
-        function — its callers then see it as a degraded callee.
+        Names that already have an enriched summary (installed from a
+        stored dataflow record) are skipped; their callers import them
+        like any other finished callee.  With ``on_fault`` set, a fault
+        while enriching one function calls ``on_fault(name, summary,
+        exc)`` and drops only that function — its callers then see it
+        as a degraded callee.
         """
         order = self.call_graph.bottom_up_order(names)
         with PROFILER.phase("interproc"):
             for name in order:
                 summary = self.summaries.get(name)
-                if summary is None:
-                    continue  # import stub or unanalysed function
+                if summary is None or name in self.enriched:
+                    continue  # import stub, unanalysed or reused
                 if on_fault is None:
                     faultinject.check("interproc", name)
                     self.enriched[name] = self._enrich(summary)
@@ -302,12 +305,20 @@ class InterproceduralAnalysis:
                 )
                 for c in enriched.constraints
             ]
+            # Rewritten callsites are copies: the base summary's
+            # callsites stay exactly as symbolic execution left them.
+            callsites = []
             for callsite in enriched.callsites:
-                callsite.args = [
+                args = [
                     self._substitute(a, ret_substitutions, rkey)
                     if a is not None else None
                     for a in callsite.args
                 ]
+                if any(new is not old
+                       for new, old in zip(args, callsite.args)):
+                    callsite = replace(callsite, args=args)
+                callsites.append(callsite)
+            enriched.callsites = callsites
 
         enriched.ret_value = self._representative_ret(summary,
                                                       ret_substitutions)

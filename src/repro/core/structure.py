@@ -241,7 +241,7 @@ class IndirectResolution:
 
 
 def resolve_indirect_calls(summaries, call_graph, candidates=None,
-                           min_score=0.0, layouts=None):
+                           min_score=0.0):
     """Resolve indirect callsites by layout similarity.
 
     ``candidates`` restricts the callee pool (e.g. to address-taken
@@ -250,29 +250,21 @@ def resolve_indirect_calls(summaries, call_graph, candidates=None,
     rooted at the callsite's first argument; the callee-side layout is
     the one rooted at its ``arg0``.  The best strictly-positive score
     wins (paper: "establish data dependencies of two data structures
-    with the highest similarity").  ``layouts`` optionally supplies
-    precomputed per-function layout maps (the shard merge path);
-    missing functions are extracted here as usual.
+    with the highest similarity").  Layouts are extracted on first
+    read, so an image without indirect callsites extracts none.
     """
     with PROFILER.phase("similarity"):
         return _resolve_indirect_calls(summaries, call_graph, candidates,
-                                       min_score, layouts)
+                                       min_score)
 
 
-def _resolve_indirect_calls(summaries, call_graph, candidates, min_score,
-                            precomputed=None):
-    precomputed = precomputed or {}
-    layouts = {
-        name: (precomputed[name] if name in precomputed
-               else extract_layouts(summary))
-        for name, summary in summaries.items()
-    }
+def _resolve_indirect_calls(summaries, call_graph, candidates, min_score):
+    if not call_graph.indirect_sites:
+        return []
+    layouts = _LazyLayouts(summaries)
     arg0 = SymVar("arg0")
     if candidates is None:
-        candidates = [
-            name for name, function_layouts in layouts.items()
-            if arg0 in function_layouts
-        ]
+        candidates = [name for name in summaries if arg0 in layouts[name]]
 
     resolutions = []
     for caller_name, callsite in list(call_graph.indirect_sites):
@@ -285,12 +277,12 @@ def _resolve_indirect_calls(summaries, call_graph, candidates, min_score,
         caller_root = root_pointer(info.args[0])
         if caller_root is None:
             caller_root = info.args[0]
-        caller_layout = layouts.get(caller_name, {}).get(caller_root)
+        caller_layout = layouts[caller_name].get(caller_root)
         best = None
         for callee_name in candidates:
             if callee_name == caller_name:
                 continue
-            callee_layout = layouts.get(callee_name, {}).get(arg0)
+            callee_layout = layouts[callee_name].get(arg0)
             score = similarity(caller_layout, callee_layout)
             if score <= min_score:
                 continue
@@ -307,6 +299,28 @@ def _resolve_indirect_calls(summaries, call_graph, candidates, min_score,
             info.target = best.callee
             resolutions.append(best)
     return resolutions
+
+
+class _LazyLayouts:
+    """Per-function layout maps, extracted on first read.
+
+    Resolution reads the layouts of indirect callers and candidate
+    callees only, so most functions never need one.  A name outside
+    ``summaries`` reads as ``{}``.
+    """
+
+    def __init__(self, summaries):
+        self.summaries = summaries
+        self.extracted = {}
+
+    def __getitem__(self, name):
+        layouts = self.extracted.get(name)
+        if layouts is None:
+            summary = self.summaries.get(name)
+            if summary is None:
+                return {}
+            layouts = self.extracted[name] = extract_layouts(summary)
+        return layouts
 
 
 def _callsite_summary(summary, addr):

@@ -296,17 +296,21 @@ class JobCache:
         )
 
     def seed(self, binary, fingerprints_blob):
-        """Adopt the plan's full-graph closure fingerprints (shards)."""
+        """Adopt the plan's full-graph closure fingerprints and
+        dataflow keys (shards)."""
         if self.incremental and fingerprints_blob:
             self.summaries.seed_fingerprints(
-                binary, pickle.loads(fingerprints_blob)
+                binary, *pickle.loads(fingerprints_blob)
             )
 
     def fingerprints_blob(self):
-        """The closure fingerprints, pickled for shard tasks, or ``None``."""
+        """The closure fingerprints and dataflow keys, pickled for
+        shard tasks, or ``None``."""
         if not self.incremental:
             return None
-        return pickle.dumps(self.summaries.fingerprints, protocol=4)
+        return pickle.dumps(
+            (self.summaries.fingerprints, self.summaries.flows), protocol=4
+        )
 
     def export_blobs(self, addrs):
         return self.bundle.export_blobs(addrs) if self.bundle else {}

@@ -23,8 +23,9 @@ whatever shard task is queued next, across images):
     Recovers CFGs for its function subset only (summaries never
     depend on *which* other functions were recovered: direct-call
     targets resolve against the full symbol table), runs symexec +
-    type inference + the first alias pass, extracts structure layouts,
-    and spills its results for the merge.
+    type inference + the first alias pass, collects the functions its
+    summaries take the address of, and spills its results for the
+    merge.
 ``merge``
     Reassembles the full function map (skeletons, not lifted IR),
     re-builds the call graph, adopts the shard summaries verbatim and
@@ -414,7 +415,7 @@ def _execute_plan(job, attempt, options):
 
 
 def _execute_shard(job, options):
-    """Phase 2: symexec + alias pass 1 + layouts for one function subset."""
+    """Phase 2: symexec + alias pass 1 for one function subset."""
     from repro.alias import get_engine
     from repro.core import DTaint
     from repro.core.types import infer_types
@@ -451,20 +452,11 @@ def _execute_shard(job, options):
                                   started)
                 del detector.summaries[name]
                 types_map.pop(name, None)
-        layouts = {}
         addr_taken = ()
         if config.enable_structure_similarity:
-            from repro.core.structure import (
-                address_taken_functions,
-                extract_layouts,
-            )
+            from repro.core.structure import address_taken_functions
 
             with profiling.PROFILER.phase("similarity"):
-                for name, summary in detector.summaries.items():
-                    try:
-                        layouts[name] = extract_layouts(summary)
-                    except Exception:
-                        pass          # merge recomputes on a miss
                 try:
                     addr_taken = tuple(sorted(_summary_address_taken(
                         binary, detector.summaries,
@@ -488,7 +480,6 @@ def _execute_shard(job, options):
             "index": job.shard_index,
             "summaries": detector.summaries,
             "types": types_map,
-            "layouts": layouts,
             "skeletons": skeletons,
             "degraded": list(detector.degraded.values()),
             "blobs": blobs,
@@ -558,13 +549,12 @@ def _execute_merge(job, options):
                         name=symbol.name, addr=symbol.addr,
                         size=symbol.size, is_import=True,
                     )
-            summaries, types_map, layouts = {}, {}, {}
+            summaries, types_map = {}, {}
             degraded, addr_taken = [], set()
             cache.absorb(sp.get("plan_cache"))
             for out in shard_outs:
                 summaries.update(out["summaries"])
                 types_map.update(out["types"])
-                layouts.update(out["layouts"])
                 degraded.extend(out["degraded"])
                 addr_taken.update(out["addr_taken"])
                 cache.preload(out["blobs"])
@@ -576,10 +566,7 @@ def _execute_merge(job, options):
         detector.attach_prebuilt(
             functions, call_graph, sp.get("selected", 0),
             degraded=degraded, summaries=summaries, types=types_map,
-            structure={
-                "layouts": layouts,
-                "address_taken": sorted(addr_taken),
-            },
+            address_taken=sorted(addr_taken),
         )
         report_dict = detector.run().to_dict()
         # The report's own profile covers only this process; fold in

@@ -278,3 +278,31 @@ odd:
 """
     enriched, _ = _run(source)
     assert set(enriched) == {"main", "even", "odd"}
+
+
+def test_run_dataflow_leaves_base_callsites_unchanged():
+    """Interproc rewrites copies of callsites, never the base summary's
+    own: a stored base summary must read as a fresh run has it."""
+    from repro.core import DTaint, DTaintConfig
+    from repro.corpus.profiles import analyzed_module_prefixes, build_firmware
+
+    built = build_firmware("dir645", scale=0.02)
+    detector = DTaint(built.binary, config=DTaintConfig(
+        modules=analyzed_module_prefixes("dir645")))
+    detector.analyze_functions()
+    before = {
+        name: [(call.addr, list(call.args)) for call in summary.callsites]
+        for name, summary in detector.summaries.items()
+    }
+    detector.run_dataflow()
+    after = {
+        name: [(call.addr, list(call.args)) for call in summary.callsites]
+        for name, summary in detector.summaries.items()
+    }
+    assert after == before
+    # The enriched view did substitute return values into some args.
+    assert any(
+        [list(call.args) for call in enriched.callsites]
+        != [list(call.args) for call in enriched.base.callsites]
+        for enriched in detector.enriched.values()
+    )

@@ -175,3 +175,56 @@ def test_layout_extraction_from_summary(dispatch_result):
         for offset, _ in fields
     }
     assert {0x8, 0x10} <= offsets
+
+
+def test_no_indirect_sites_extracts_no_layouts(monkeypatch):
+    """Layouts are extracted on first read, and an image without
+    indirect callsites reads none."""
+    import repro.core.structure as structure
+
+    read = []
+
+    def extract(summary, types=None):
+        read.append(summary.name)
+        return extract_layouts(summary, types)
+
+    source = r"""
+.globl main
+main:
+    push {r4, lr}
+    bl helper
+    pop {r4, pc}
+
+.globl helper
+helper:
+    ldr r0, [r0, #4]
+    bx lr
+"""
+    elf_bytes, _ = build_executable("arm", source, imports=[], entry="main")
+    detector = DTaint(load_elf(elf_bytes))
+    detector.analyze_functions()
+    assert not detector.call_graph.indirect_sites
+    monkeypatch.setattr(structure, "extract_layouts", extract)
+    detector.run_dataflow()
+    assert detector.resolutions == []
+    assert read == []
+
+
+def test_layouts_extracted_for_caller_and_candidates_only(monkeypatch):
+    import repro.core.structure as structure
+
+    read = []
+
+    def extract(summary, types=None):
+        read.append(summary.name)
+        return extract_layouts(summary, types)
+
+    elf_bytes, _ = build_executable(
+        "arm", DISPATCH_SRC, imports=["strcpy", "getenv"], entry="main"
+    )
+    detector = DTaint(load_elf(elf_bytes), name="dispatch")
+    detector.analyze_functions()
+    monkeypatch.setattr(structure, "extract_layouts", extract)
+    detector.run_dataflow()
+    assert [r.callee for r in detector.resolutions] == ["handler_exec"]
+    assert sorted(read) == ["dispatch", "handler_exec"]
