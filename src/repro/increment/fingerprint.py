@@ -53,6 +53,8 @@ class FunctionFingerprint:
     local: str        # hex digest of the canonical body
     closure: str      # Merkle digest over the callee closure
     literals: tuple   # data addresses, in canonical rendering order
+    reach: frozenset  # names in the direct callee closure, self included
+    scc: frozenset    # names in its call-graph SCC, self included
 
     @property
     def key(self):
@@ -213,7 +215,9 @@ def fingerprint_functions(binary, functions, call_graph):
     graph built from it.  Indirect edges resolved later by structure
     similarity are deliberately excluded: base summaries are computed
     before resolution, so the closure over *direct* edges is the exact
-    invalidation condition for the cached artefact.
+    invalidation condition for the cached artefact.  Each fingerprint
+    also names the functions that closure covers (``reach``) and the
+    members of its recursion SCC (``scc``).
     """
     func_by_addr = {}
     for symbol in binary.functions.values():
@@ -245,13 +249,20 @@ def fingerprint_functions(binary, functions, call_graph):
                 graph.add_edge(name, callee)
     condensed = nx.condensation(graph)
     scc_closure = {}
+    sccs = {}
+    reach = {}
     for scc_id in reversed(list(nx.topological_sort(condensed))):
-        members = condensed.nodes[scc_id]["members"]
+        members = sccs[scc_id] = frozenset(
+            condensed.nodes[scc_id]["members"]
+        )
         member_part = "|".join(sorted(locals_[m] for m in members))
         callee_part = "|".join(sorted(
             scc_closure[s] for s in condensed.successors(scc_id)
         ))
         scc_closure[scc_id] = _digest(member_part + "#" + callee_part)
+        reach[scc_id] = members.union(
+            *(reach[s] for s in condensed.successors(scc_id))
+        )
     scc_of = condensed.graph["mapping"]
 
     out = {}
@@ -263,6 +274,8 @@ def fingerprint_functions(binary, functions, call_graph):
             local=local,
             closure=closure,
             literals=literals[name],
+            reach=reach[scc_of[name]],
+            scc=sccs[scc_of[name]],
         )
     return out
 
