@@ -1,7 +1,7 @@
 """Intra-image shard-scheduling benchmark: hikvision split over a pool.
 
 Measures what the shard scheduler buys on the fleet's hot image
-(hikvision dominates ``BENCH_hotpath.json``'s fleet scan):
+(hikvision dominates a cold scan of the vendor corpus):
 
 * ``unsharded``  — the whole-image baseline (1 job slot, no sharding);
 * ``sharded_1w`` — the sharded task graph (plan → N exec shards →

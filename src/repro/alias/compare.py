@@ -33,8 +33,7 @@ GOLDEN_SCALE = 0.1
 
 # -- canonical report documents (shared with tests/golden_util.py) ---------
 
-_TIMING_KEYS = ("elapsed_seconds", "stage_seconds", "summary_cache",
-                "phase_profile")
+_TIMING_KEYS = ("elapsed_seconds", "summary_cache", "phase_profile")
 
 
 def _finding_key(finding):

@@ -20,7 +20,7 @@ from repro.core.interproc import (
     _actual_mapping,
 )
 from repro.core.paths import PathFinder
-from repro.core.report import DegradedFunction, Finding, Report, StageTimer
+from repro.core.report import DegradedFunction, Finding, Report
 from repro.core.sanitize import is_sanitized
 from repro.core.structure import resolve_indirect_calls
 from repro.core.types import infer_types, root_pointer
@@ -84,29 +84,32 @@ class DTaint:
     def __init__(self, binary, config=None, name="", summary_cache=None):
         self.binary = binary
         self.config = config or DTaintConfig()
+        self._alias_engine = get_engine(self.config.alias_engine)
         self.name = name or "binary"
         self.functions = None
         self.summaries = None
         self.enriched = None
         self.call_graph = None
-        self.timer = StageTimer()
         # A bound per-function summary store (``get(addr)``/``put(addr,
         # summary)``, hit/miss counters) — the pipeline layer's reuse
         # hook around the bottom-up traversal.  ``None`` disables reuse.
         self.summary_cache = summary_cache
         self.degraded = {}            # function name -> DegradedFunction
         self._selected_count = 0
-        # name -> TypeMap, filled by run_dataflow's first alias pass —
-        # or pre-installed via attach_prebuilt, which makes that pass
-        # a no-op (shard workers already ran it).
+        # name -> TypeMap, filled by the first alias pass
+        # (alias_functions) — or pre-installed via attach_prebuilt,
+        # which makes run_dataflow skip that pass (shard workers
+        # already ran it).
         self._types = None
         self._prebuilt_address_taken = None
         # name -> (enriched, def_pairs, watch, group) served from
         # stored dataflow records by analyze_functions (see there).
         self._flows = {}
         # Per-run phase accounting: the profiler is cumulative per
-        # process, so the report carries the delta since construction.
+        # process, so the report carries the delta since construction,
+        # and ``elapsed_seconds`` the wall time over the same window.
         self._profile_baseline = profiling.PROFILER.snapshot()
+        self._started = time.perf_counter()
 
     # ------------------------------------------------------------------
 
@@ -151,7 +154,6 @@ class DTaint:
         instruction, lift gap, run past extent) is degraded and
         skipped; recovery proceeds for every other function.
         """
-        self.timer.start("cfg")
         symbols = self._selected_symbols()
         self._selected_count = sum(1 for s in symbols if not s.is_import)
 
@@ -169,7 +171,6 @@ class DTaint:
         bind = getattr(self.summary_cache, "bind_functions", None)
         if bind is not None:
             bind(self.binary, self.functions, self.call_graph)
-        self.timer.stop()
         return self.functions
 
     def attach_prebuilt(self, functions, call_graph, selected_count,
@@ -182,22 +183,16 @@ class DTaint:
         embarrassingly-parallel part of the pipeline — so the
         remaining inherently-serial stages (indirect-call resolution,
         bottom-up interprocedural enrichment, the second alias pass,
-        detection) run exactly as an unsharded scan would.  The empty
-        cfg/ssa timer brackets keep ``stage_seconds``'s shape
-        identical.  ``address_taken``, when given, holds the functions
-        whose address the shards' summaries take, for the similarity
-        stage.
+        detection) run exactly as an unsharded scan would.
+        ``address_taken``, when given, holds the functions whose
+        address the shards' summaries take, for the similarity stage.
         """
-        self.timer.start("cfg")
         self.functions = functions
         self.call_graph = call_graph
         self._selected_count = selected_count
         for entry in degraded:
             self.degraded.setdefault(entry.function, entry)
-        self.timer.stop()
-        self.timer.start("ssa")
         self.summaries = dict(summaries or {})
-        self.timer.stop()
         self._types = dict(types or {})
         self._prebuilt_address_taken = address_taken
         return self.summaries
@@ -221,7 +216,6 @@ class DTaint:
         """
         if self.functions is None:
             self.build_cfg()
-        self.timer.start("ssa")
         engine = self._engine()
         cache = self.summary_cache
         get_flow = getattr(cache, "get_flow", None)
@@ -238,7 +232,6 @@ class DTaint:
             else:
                 self._summarize(engine, name, function)
         self._void_flows(engine)
-        self.timer.stop()
         return self.summaries
 
     def _engine(self):
@@ -302,37 +295,42 @@ class DTaint:
             return
         self.summaries[name] = summary
 
+    def alias_functions(self):
+        """Alias pass 1: type inference and the alias engine, per summary.
+
+        Covers every summary not served from a dataflow record.  A
+        fault degrades the function as ``aliasing`` and drops its
+        summary.  Returns the name -> TypeMap the second alias pass
+        reads (shard workers ship it to the merge).
+        """
+        self._types = {}
+        for name in list(self.summaries):
+            if name not in self._flows:
+                self._alias(name)
+        return self._types
+
+    def _alias(self, name):
+        """Alias pass 1 for one function."""
+        summary = self.summaries[name]
+        started = time.perf_counter()
+        try:
+            types = infer_types(summary)
+            self._types[name] = types
+            if self.config.enable_aliasing:
+                self._alias_engine.apply(summary, types)
+        except Exception as exc:
+            self._degrade(name, summary.addr, "aliasing", exc, started)
+            del self.summaries[name]
+
     def run_dataflow(self):
         """Stages 2-4: aliasing, similarity, interprocedural data flow."""
         if self.summaries is None:
             self.analyze_functions()
-        self.timer.start("aliasing")
-        alias_engine = get_engine(self.config.alias_engine)
         if self._types is None:
-            self._types = {}
-
-            def alias(name):
-                summary = self.summaries[name]
-                started = time.perf_counter()
-                try:
-                    types = infer_types(summary)
-                    self._types[name] = types
-                    if self.config.enable_aliasing:
-                        alias_engine.apply(summary, types)
-                except Exception as exc:
-                    self._degrade(
-                        name, summary.addr, "aliasing", exc, started
-                    )
-                    del self.summaries[name]
-
-            for name in list(self.summaries):
-                if name not in self._flows:
-                    alias(name)
+            self.alias_functions()
             if self._flows:
-                self._void_flows(self._engine(), alias)
-        self.timer.stop()
+                self._void_flows(self._engine(), self._alias)
 
-        self.timer.start("structure")
         self.resolutions = []
         if self.config.enable_structure_similarity:
             from repro.core.structure import address_taken_functions
@@ -357,9 +355,7 @@ class DTaint:
                 )
             except Exception:
                 self.resolutions = []
-        self.timer.stop()
 
-        self.timer.start("ddg")
         analysis = InterproceduralAnalysis(
             self.summaries, self.call_graph, degraded=self.degraded,
         )
@@ -396,7 +392,9 @@ class DTaint:
                     if name in self._flows:
                         continue
                     try:
-                        alias_engine.apply(enriched, self._types[name])
+                        self._alias_engine.apply(
+                            enriched, self._types[name]
+                        )
                     except Exception as exc:
                         self._degrade(
                             name, enriched.base.addr, "aliasing", exc
@@ -409,7 +407,6 @@ class DTaint:
             enriched = self.enriched.get(name)
             if enriched is not None:
                 put_flow(enriched, def_pairs, self.summaries, self.degraded)
-        self.timer.stop()
         return self.enriched
 
     def detect(self):
@@ -423,7 +420,6 @@ class DTaint:
         """
         if self.enriched is None:
             self.run_dataflow()
-        self.timer.start("detect")
         report = Report(
             binary_name=self.name,
             arch=self.binary.arch.name,
@@ -452,7 +448,6 @@ class DTaint:
                 except Exception as exc:
                     self._degrade(name, enriched.base.addr, "detect", exc,
                                   started)
-        self.timer.stop()
         self._finalize(report)
         return report
 
@@ -547,8 +542,7 @@ class DTaint:
 
     def _finalize(self, report):
         """Fold the degradation ledger and timings into the report."""
-        report.stage_seconds = dict(self.timer.stages)
-        report.elapsed_seconds = self.timer.total
+        report.elapsed_seconds = time.perf_counter() - self._started
         report.phase_profile = profiling.delta(
             self._profile_baseline, profiling.PROFILER.snapshot()
         )

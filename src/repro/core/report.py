@@ -1,6 +1,5 @@
 """Findings and the analysis report."""
 
-import time
 from dataclasses import dataclass, field
 
 from repro.symexec.value import pretty
@@ -98,7 +97,6 @@ class Report:
     findings: list = field(default_factory=list)
     sanitized_paths: list = field(default_factory=list)
     elapsed_seconds: float = 0.0
-    stage_seconds: dict = field(default_factory=dict)
     # Per-phase hot-path profile (repro.profiling snapshot delta):
     # {"seconds": {...}, "counters": {...}} accumulated by this run.
     phase_profile: dict = field(default_factory=dict)
@@ -157,7 +155,7 @@ class Report:
         }
 
     def to_dict(self):
-        """JSON-serialisable form (findings, counters, stage timings)."""
+        """JSON-serialisable form (findings, counters, phase profile)."""
         from dataclasses import asdict
 
         return {
@@ -170,7 +168,6 @@ class Report:
             "sinks": self.sink_count,
             "indirect_resolved": self.indirect_resolved,
             "elapsed_seconds": self.elapsed_seconds,
-            "stage_seconds": dict(self.stage_seconds),
             "phase_profile": {
                 "seconds": dict(self.phase_profile.get("seconds", {})),
                 "counters": dict(self.phase_profile.get("counters", {})),
@@ -229,26 +226,3 @@ class Report:
             lines.append("  " + finding.describe())
         return "\n".join(lines)
 
-
-class StageTimer:
-    """Accumulates wall-clock per pipeline stage."""
-
-    def __init__(self):
-        self.stages = {}
-        self._start = None
-        self._name = None
-
-    def start(self, name):
-        self.stop()
-        self._name = name
-        self._start = time.perf_counter()
-
-    def stop(self):
-        if self._name is not None:
-            elapsed = time.perf_counter() - self._start
-            self.stages[self._name] = self.stages.get(self._name, 0.0) + elapsed
-            self._name = None
-
-    @property
-    def total(self):
-        return sum(self.stages.values())

@@ -124,7 +124,6 @@ def image_document(result):
     if result.report is not None:
         document["findings"] = canonical_report(result.report)
         document["findings_sha256"] = findings_fingerprint(result.report)
-        document["stage_seconds"] = result.report.get("stage_seconds", {})
     fingerprints = getattr(result, "fingerprints", None)
     if fingerprints:
         # Position-independent closure fingerprints (incremental

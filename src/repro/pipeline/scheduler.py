@@ -1049,7 +1049,6 @@ class FleetScheduler:
         self.telemetry.emit(
             "job_finish", job=record.job.job_id, attempt=record.attempt,
             elapsed=round(elapsed, 4),
-            stage_seconds=result.report.get("stage_seconds", {}),
             max_rss_mb=round(result.resources.get("max_rss_mb", 0.0), 1),
             vulnerable_paths=len(result.report.get("vulnerable_paths", [])),
             vulnerabilities=len(result.report.get("vulnerabilities", [])),

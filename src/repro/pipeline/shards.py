@@ -1,7 +1,7 @@
 """Intra-image shard scheduling: split one hot image across the pool.
 
 The fleet scheduler's unit of work used to be a whole image, so one
-hot binary (hikvision in ``BENCH_hotpath.json``) serialised the scan
+hot binary (the vendor corpus's hikvision image) serialised the scan
 while other cores idled.  DTaint's bottom-up design makes the fix
 natural: per-function summaries are **context-independent** (paper
 Algorithm 2), so any partition of the function set can be symbolically
@@ -416,9 +416,7 @@ def _execute_plan(job, attempt, options):
 
 def _execute_shard(job, options):
     """Phase 2: symexec + alias pass 1 for one function subset."""
-    from repro.alias import get_engine
     from repro.core import DTaint
-    from repro.core.types import infer_types
     from repro.eval.resources import measure
 
     sp = job.shard_payload
@@ -438,20 +436,7 @@ def _execute_shard(job, options):
         blobs = cache.export_blobs(
             {s.addr for s in detector.summaries.values()}
         )
-        types_map = {}
-        alias_engine = get_engine(config.alias_engine)
-        for name, summary in list(detector.summaries.items()):
-            started = time.perf_counter()
-            try:
-                types = infer_types(summary)
-                types_map[name] = types
-                if config.enable_aliasing:
-                    alias_engine.apply(summary, types)
-            except Exception as exc:
-                detector._degrade(name, summary.addr, "aliasing", exc,
-                                  started)
-                del detector.summaries[name]
-                types_map.pop(name, None)
+        types_map = detector.alias_functions()
         addr_taken = ()
         if config.enable_structure_similarity:
             from repro.core.structure import address_taken_functions

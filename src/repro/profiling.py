@@ -56,9 +56,6 @@ class PhaseProfiler:
                     self.seconds.get(parent, 0.0) - elapsed
                 )
 
-    def add_seconds(self, name, elapsed):
-        self.seconds[name] = self.seconds.get(name, 0.0) + elapsed
-
     def count(self, name, amount=1):
         """Count an event, e.g. ``count("symexec_functions")``."""
         self.counters[name] = self.counters.get(name, 0) + amount
@@ -69,11 +66,6 @@ class PhaseProfiler:
             "seconds": dict(self.seconds),
             "counters": dict(self.counters),
         }
-
-    def reset(self):
-        self.seconds.clear()
-        self.counters.clear()
-        del self._stack[:]
 
 
 def delta(before, after):

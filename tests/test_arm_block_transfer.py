@@ -105,4 +105,5 @@ def test_report_json_roundtrip(tmp_path):
     assert data["binary"] == "foo-woo"
     assert len(data["vulnerabilities"]) == 1
     assert data["vulnerabilities"][0]["sink_name"] == "memcpy"
-    assert data["stage_seconds"]
+    assert data["phase_profile"]["seconds"]
+    assert data["elapsed_seconds"] > 0

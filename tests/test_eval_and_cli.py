@@ -4,7 +4,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core import libc
-from repro.core.report import Finding, Report, StageTimer
+from repro.core.report import Finding, Report
 from repro.core.sinks import parse_format
 from repro.eval.resources import measure
 from repro.eval.runner import EvalContext, get_scale
@@ -81,15 +81,6 @@ class TestReport:
         row = report.summary_row()
         assert row["firmware"] == "x"
         assert row["vulnerable_paths"] == 0
-
-    def test_stage_timer_accumulates(self):
-        timer = StageTimer()
-        timer.start("a")
-        timer.stop()
-        timer.start("b")
-        timer.stop()
-        assert set(timer.stages) == {"a", "b"}
-        assert timer.total >= 0
 
 
 class TestResources:

@@ -211,15 +211,24 @@ class TestScheduler:
 
     def test_warm_cache_hits(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
+        telemetry_path = str(tmp_path / "events.jsonl")
         job = _profile_job("dir645")
-        cold = FleetScheduler(jobs=1, cache_dir=cache_dir).run([job])[0]
+        with Telemetry(telemetry_path) as telemetry:
+            cold = FleetScheduler(
+                jobs=1, cache_dir=cache_dir, telemetry=telemetry,
+            ).run([job])[0]
         assert cold.cache["summary_misses"] > 0
+        kinds = [e["event"] for e in read_events(telemetry_path)]
+        assert kinds.count("job_finish") == 1
+        assert "cache_report" in kinds and "run_finish" in kinds
         # Summary layer: everything hits when only the report cache is off.
         warm = FleetScheduler(
             jobs=1, cache_dir=cache_dir, use_report_cache=False,
         ).run([_profile_job("dir645")])[0]
         assert warm.cache["summary_misses"] == 0
         assert warm.cache["summary_hits"] == cold.cache["summary_misses"]
+        assert warm.report["phase_profile"]["counters"].get(
+            "symexec_functions", 0) == 0
         assert findings_fingerprint(warm.report) == \
             findings_fingerprint(cold.report)
         # Report layer: the whole analysis is skipped.
@@ -227,6 +236,7 @@ class TestScheduler:
             [_profile_job("dir645")]
         )[0]
         assert hot.cache["report_cache_hit"]
+        assert hot.cache["summary_hits"] + hot.cache["summary_misses"] == 0
         assert findings_fingerprint(hot.report) == \
             findings_fingerprint(cold.report)
 
@@ -345,7 +355,8 @@ class TestTelemetryAndResults:
     def test_canonical_report_is_run_independent(self):
         base = {
             "binary": "b", "arch": "arm", "analyzed_functions": 3,
-            "elapsed_seconds": 1.23, "stage_seconds": {"ssa": 1.0},
+            "elapsed_seconds": 1.23,
+            "phase_profile": {"seconds": {"symexec": 1.0}, "counters": {}},
             "summary_cache": {"hits": 5, "misses": 0},
             "vulnerable_paths": [
                 {"function": "b", "sink_addr": 2, "sink_name": "s"},
@@ -353,7 +364,7 @@ class TestTelemetryAndResults:
             ],
         }
         other = dict(base, elapsed_seconds=9.0,
-                     stage_seconds={}, summary_cache={})
+                     phase_profile={}, summary_cache={})
         other["vulnerable_paths"] = list(
             reversed(base["vulnerable_paths"])
         )

@@ -36,14 +36,10 @@ class TestPhaseProfiler:
         assert snap["counters"]["alias_queries"] == 3
 
     def test_delta_isolates_a_window(self):
-        profiler = profiling.PhaseProfiler()
-        profiler.add_seconds("lift", 1.0)
-        profiler.count("lift_blocks", 5)
-        before = profiler.snapshot()
-        profiler.add_seconds("lift", 0.5)
-        profiler.add_seconds("detect", 0.25)
-        profiler.count("lift_blocks", 3)
-        delta = profiling.delta(before, profiler.snapshot())
+        before = {"seconds": {"lift": 1.0}, "counters": {"lift_blocks": 5}}
+        after = {"seconds": {"lift": 1.5, "detect": 0.25},
+                 "counters": {"lift_blocks": 8}}
+        delta = profiling.delta(before, after)
         assert abs(delta["seconds"]["lift"] - 0.5) < 1e-9
         assert abs(delta["seconds"]["detect"] - 0.25) < 1e-9
         assert delta["counters"] == {"lift_blocks": 3}

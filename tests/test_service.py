@@ -16,12 +16,16 @@ Covers the acceptance properties of DTaint-as-a-service:
 
 import json
 import os
+import re
 import signal
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+from repro.alias import ENGINE_NAMES
 from repro.errors import MalformedInput
 from repro.faultinject import injected
 from repro.loader.link import build_executable
@@ -82,6 +86,13 @@ def _wait_state(daemon, job_id, state, timeout=60.0):
         time.sleep(0.02)
     raise AssertionError("job %d stuck in %r after %.0fs"
                          % (job_id, row["state"], timeout))
+
+
+def _in_process_sha(path, alias_engine="dtaint"):
+    """The findings fingerprint of a plain in-process run."""
+    payload = execute_job(FleetJob(job_id="ref", kind="elf", path=path,
+                                   alias_engine=alias_engine))
+    return findings_fingerprint(payload["report"])
 
 
 def _job_result(elf_path, job_id="img"):
@@ -472,6 +483,34 @@ class TestDaemon:
             kinds = [event["event"] for event in events]
             assert "job_start" in kinds and "job_finish" in kinds
 
+    def test_warm_series_forks_once_and_matches_in_process(self,
+                                                           tmp_path):
+        """Byte-distinct images through a one-shot scheduler each and
+        through one warm daemon give the in-process findings; the
+        daemon's pool forks once for the whole series."""
+        paths = []
+        for index in range(3):
+            path = tmp_path / ("handler%d.elf" % index)
+            path.write_bytes(_small_elf("CMD%d" % index))
+            paths.append(str(path))
+        reference = {path: _in_process_sha(path) for path in paths}
+        for path in paths:
+            with FleetScheduler(jobs=1) as scheduler:
+                result, = scheduler.run(
+                    [FleetJob(job_id="one", kind="elf", path=path)]
+                )
+            assert result.ok, result.error
+            assert findings_fingerprint(result.report) == reference[path]
+        with AnalysisDaemon(str(tmp_path / "dtaint.sqlite"),
+                            workers=1) as daemon:
+            for path in paths:
+                job = daemon.submit(job_spec("elf", path=path))
+                assert daemon.run_once() == 1
+                assert daemon.job_status(job["job_id"])["state"] == "done"
+                assert daemon.job_findings(job["job_id"])[
+                    "findings_sha256"] == reference[path]
+            assert daemon.scheduler.pool.spawned_total == 1
+
     def test_quarantined_job_marks_queue_failed(self, tmp_path):
         with AnalysisDaemon(str(tmp_path / "dtaint.sqlite"),
                             workers=1, retries=0) as daemon:
@@ -665,3 +704,60 @@ class TestRestAPI:
         with pytest.raises(ServiceError) as excinfo:
             client.shutdown()
         assert excinfo.value.status == 403
+
+    def test_serve_subprocess_over_http(self, tmp_path, elf_path):
+        """A real ``dtaint serve`` process: one job per alias engine,
+        each with the in-process fingerprint and a ``job_finish``
+        event, then a clean exit on shutdown."""
+        reference = {engine: _in_process_sha(elf_path, engine)
+                     for engine in ENGINE_NAMES}
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           os.pardir, "src")
+        pythonpath = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve",
+             "--host", "127.0.0.1", "--port", "0",
+             "--db", str(tmp_path / "serve.sqlite"),
+             "--workers", "1", "--no-cache", "--allow-shutdown"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=dict(os.environ, PYTHONPATH=pythonpath),
+        )
+        # A daemon that hangs before announcing is killed, which ends
+        # the read below.
+        watchdog = threading.Timer(60, process.kill)
+        watchdog.start()
+        try:
+            # The daemon announces its ephemeral port on stdout.
+            match = None
+            for line in process.stdout:
+                match = re.search(r"listening on (http://[\d.]+:\d+)", line)
+                if match:
+                    break
+            watchdog.cancel()
+            assert match, "the daemon never announced its port"
+            client = ServiceClient(match.group(1))
+            job_ids = set()
+            for engine, expected in sorted(reference.items()):
+                job = client.submit(kind="elf", path=elf_path,
+                                    alias_engine=engine)
+                assert job["outcome"] == "created"
+                job_ids.add(job["job_id"])
+                assert client.wait(job["job_id"], timeout=180)["state"] \
+                    == "done"
+                assert client.findings(job["job_id"])["findings_sha256"] \
+                    == expected
+                assert "job_finish" in [
+                    event["event"] for event in client.events(job["job_id"])
+                ]
+            # Engine choice is part of a job's identity: no dedup.
+            assert len(job_ids) == len(reference)
+            client.shutdown()
+            assert process.wait(30) == 0
+        finally:
+            watchdog.cancel()
+            if process.poll() is None:
+                process.kill()
+                process.wait(10)
+            process.stdout.close()

@@ -305,6 +305,47 @@ class TestShardIdentity:
         assert files[0], "the run must write cache records"
         assert files[4] == files[0]
 
+    def test_alias_fault_degrades_identically(self, image_elf,
+                                              monkeypatch):
+        """Alias pass 1 raising for one function degrades it the same
+        way in a shard worker as in the unsharded detector."""
+        import repro.core.detector as detector_mod
+
+        victim = "cgi_do_cmd"
+        infer_types = detector_mod.infer_types
+
+        def faulty(summary):
+            if summary.name == victim:
+                raise RuntimeError("alias fault")
+            return infer_types(summary)
+
+        # Workers fork on the first run and inherit the patch.
+        monkeypatch.setattr(detector_mod, "infer_types", faulty)
+        events = []
+        telemetry = Telemetry()
+        telemetry.add_sink(lambda record: events.append(dict(record)))
+        reports = {}
+        with FleetScheduler(jobs=1, retries=0, backoff=0.0,
+                            telemetry=telemetry) as scheduler:
+            for shards in (0, 2):
+                result = scheduler.run(
+                    [_image_job(image_elf, shards, job_id="a%d" % shards)]
+                )[0]
+                assert result.status == "ok", result.error
+                reports[shards] = result.report
+        assert any(event["event"] == "shard_plan" and event["shards"] >= 2
+                   for event in events)
+        assert "shard_fallback" not in [event["event"] for event in events]
+        degraded = {
+            shards: [(d["function"], d["phase"])
+                     for d in report["degraded_functions"]]
+            for shards, report in reports.items()
+        }
+        assert degraded[0] == [(victim, "aliasing")]
+        assert degraded[2] == degraded[0]
+        assert findings_fingerprint(reports[2]) == \
+            findings_fingerprint(reports[0])
+
     def test_failed_shard_falls_back_to_unsharded(self, image_elf):
         events = []
         telemetry = Telemetry()
