@@ -19,8 +19,8 @@
 ``dtaint delta OLD NEW``      — diff two firmware versions: re-analyse
                                  only changed function closures,
                                  classify findings new/fixed/persisting
-``dtaint cache gc``           — prune quarantined and stale-format
-                                 entries from a cache directory (and,
+``dtaint cache gc``           — prune quarantined, stale and damaged
+                                 records from a cache directory (and,
                                  with ``--results-db``, apply run/job
                                  retention to the sqlite store)
 ``dtaint diffcheck``          — differential sweep of the static
@@ -331,7 +331,6 @@ def _cmd_fleet_scan(args):
         timeout=args.timeout or None,
         retries=args.retries,
         cache_dir=cache_dir,
-        use_report_cache=not args.no_report_cache,
         use_fleet_index=incremental,
         telemetry=telemetry,
     )
@@ -421,11 +420,11 @@ def _cmd_cache_gc(args):
     stats = collect_garbage(args.cache_dir, dry_run=args.dry_run)
     verb = "would remove" if args.dry_run else "removed"
     print(
-        "cache gc (%s): %s %d corrupt, %d tmp, %d files; pruned %d "
-        "stale summaries; %d bytes freed"
+        "cache gc (%s): %s %d corrupt, %d tmp, %d stale or unreadable "
+        "records; %d bytes freed"
         % (args.cache_dir, verb, stats["corrupt_removed"],
            stats["tmp_removed"], stats["files_removed"],
-           stats["stale_summaries"], stats["bytes_freed"])
+           stats["bytes_freed"])
     )
     if args.results_db:
         from repro.service import ResultsDB
@@ -965,17 +964,12 @@ def main(argv=None):
                             help="content-addressed summary/report store")
     fleet_scan.add_argument("--no-cache", action="store_true",
                             help="disable all caching for this run")
-    fleet_scan.add_argument("--no-report-cache", action="store_true",
-                            help="skip the per-binary report cache but "
-                                 "keep summary reuse; with --incremental "
-                                 "the fleet index's image layer still "
-                                 "serves whole reports")
     fleet_scan.add_argument("--incremental", action="store_true",
-                            help="layer the content-addressed fleet index "
-                                 "over the per-binary caches: summaries "
-                                 "and whole-image findings are reused "
-                                 "across binaries by position-independent "
-                                 "fingerprint")
+                            help="keep summaries in the content-addressed "
+                                 "fleet index instead of per-binary "
+                                 "bundles: summaries and whole-image "
+                                 "findings are reused across binaries by "
+                                 "position-independent fingerprint")
     fleet_scan.add_argument("--baseline", metavar="DIR",
                             help="previous --out directory or results "
                                  "database to diff against; writes "
@@ -1039,7 +1033,7 @@ def main(argv=None):
     cache_gc = cache_sub.add_parser(
         "gc",
         help="prune .corrupt quarantine files, orphaned tmp files and "
-             "stale-format summaries",
+             "cache records that are stale or do not read",
     )
     cache_gc.add_argument("--cache-dir", default=".dtaint-cache")
     cache_gc.add_argument("--results-db", metavar="PATH",

@@ -11,8 +11,8 @@ package recognises redundancy across images:
   (closure fingerprint -> summary, image fingerprint -> findings);
 * :mod:`repro.increment.relocate` — rebase a cached summary onto a
   new address layout;
-* :mod:`repro.increment.reuse` — the two-level summary cache the
-  detector binds to (binary bundle in front of the fleet index);
+* :mod:`repro.increment.reuse` — the fleet-index summary store the
+  detector binds to in fleet-index runs;
 * :mod:`repro.increment.delta` — firmware-version delta reports
   (``dtaint delta``): function and finding classification.
 """
@@ -39,7 +39,6 @@ from repro.increment.relocate import (
 )
 from repro.increment.reuse import (
     IncrementalSummaryCache,
-    clear_binary_bundles,
     open_incremental_cache,
 )
 
@@ -48,7 +47,6 @@ __all__ = [
     "FleetIndex", "relocate_summary", "stray_addresses",
     "strays_compatible",
     "IncrementalSummaryCache", "open_incremental_cache",
-    "clear_binary_bundles",
     "classify_functions", "classify_findings", "compute_delta",
     "delta_fingerprint", "render_delta", "run_delta", "scan_image",
 ]

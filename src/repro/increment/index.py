@@ -1,8 +1,8 @@
 """The fleet dedup index: content-addressed cross-binary stores.
 
-Layered *in front of* the per-binary caches in
-:mod:`repro.pipeline.cache`, this index keys artefacts by what the
-code **is** rather than where it was found:
+A fleet-index run (``--incremental``) keeps its summaries only here.
+The index keys artefacts by what the code **is** rather than where it
+was found:
 
 * ``<cache>/fleet/sum/<xx>/<closure>-<cfgfp>.pkl`` — one function
   summary per (closure fingerprint, summary-config fingerprint); any
@@ -11,14 +11,10 @@ code **is** rather than where it was found:
 * ``<cache>/fleet/img/<xx>/<imagefp>-<reportfp>.json`` — one whole
   findings document per (image fingerprint, report-config
   fingerprint); reused when a rebuilt image has an identical function
-  closure set and the layout shifted rigidly;
-* ``<cache>/fleet/img/sha/<xx>/<sha>-<reportfp>.json`` — the same
-  findings document keyed by the exact bytes (binary sha256, report-
-  config fingerprint), together with the closure fingerprints
-  (``name -> {local, closure}``) that ``--baseline`` deltas compare.
-  It needs no CFG to compute, so a byte-identical rescan is answered
-  before CFG recovery; both image keys live under ``fleet/img``, so
-  deleting that directory drops every whole-report record;
+  closure set and the layout shifted rigidly.  The exact-bytes report
+  record, which answers a byte-identical rescan before any CFG
+  recovery, is :class:`repro.pipeline.cache.ReportCache`'s, shared
+  with per-binary runs;
 * ``<cache>/fleet/flow/<xx>/<key>.pkl`` — one function's dataflow
   record: its :class:`~repro.core.interproc.EnrichedSummary` as
   callers import it, whose ``base`` is the summary after the first
@@ -28,16 +24,14 @@ code **is** rather than where it was found:
   address, closure fingerprint and literal table of every function in
   that closure, so a hit is served as is, with no relocation.
 
-Records are self-describing (``version`` = ``CACHE_FORMAT_VERSION``);
-stale, undecodable or ill-typed records read as misses and are
-quarantined the same way the per-binary bundles are.  Writes are
-atomic and content-addressed, so racing fleet workers can only ever
-write the same bytes to the same key.
+Every file is a checked record (:func:`repro.pipeline.cache.
+read_record`); a record that does not read or is ill-typed reads as a
+miss and is quarantined and counted.  Writes are atomic and content-
+addressed, so racing fleet workers can only ever write the same bytes
+to the same key.
 """
 
-import json
 import os
-import pickle
 
 from repro.core.interproc import (
     EnrichedSummary,
@@ -45,25 +39,27 @@ from repro.core.interproc import (
     serialize_summary,
 )
 from repro.pipeline.cache import (
-    CACHE_FORMAT_VERSION,
+    RecordStore,
     _atomic_write,
-    _load_json_record,
-    _quarantine,
+    _is_dict,
+    encode_record,
+    report_ok,
+    write_record,
 )
 from repro.symexec.state import FunctionSummary
 
 
-class FleetIndex:
+class FleetIndex(RecordStore):
     """On-disk content-addressed store for summaries + findings."""
 
     def __init__(self, root, config_fp):
+        super().__init__()
         self.root = os.path.join(root, "fleet")
         self.config_fp = config_fp
         self.hits = 0
         self.misses = 0
-        self.corrupt = 0
         self.stored = 0
-        self._pending = {}    # path -> serialized record bytes
+        self._pending = {}    # path -> encoded record bytes
 
     # -- paths -------------------------------------------------------------
 
@@ -75,49 +71,20 @@ class FleetIndex:
         name = "%s-%s.json" % (image_fp, report_fp)
         return os.path.join(self.root, "img", image_fp[:2], name)
 
-    def _exact_path(self, sha, report_fp):
-        name = "%s-%s.json" % (sha, report_fp)
-        return os.path.join(self.root, "img", "sha", sha[:2], name)
-
     def _flow_path(self, key):
         return os.path.join(self.root, "flow", key[:2], "%s.pkl" % key)
 
-    # -- pickled records ---------------------------------------------------
+    # -- staged records ----------------------------------------------------
 
-    def _read_pickle(self, path):
-        """The current-format record at ``path`` (staged or on disk).
+    def _read_staged(self, path, check):
+        """The record at ``path``, staged or on disk (see ``_read``)."""
+        return self._read(path, check, self._pending.get(path))
 
-        ``None`` when absent; an undecodable or stale record is also
-        ``None``, after being quarantined and counted.
-        """
-        record = self._pending.get(path)
-        try:
-            if record is not None:
-                record = pickle.loads(record)
-            else:
-                with open(path, "rb") as handle:
-                    record = pickle.load(handle)
-        except FileNotFoundError:
-            return None
-        except (OSError, pickle.UnpicklingError, EOFError, ValueError,
-                AttributeError, ImportError):
-            record = None
-        if (not isinstance(record, dict)
-                or record.get("version") != CACHE_FORMAT_VERSION):
-            self._reject(path)
-            return None
-        return record
-
-    def _reject(self, path):
-        self.corrupt += 1
-        _quarantine(path)
-
-    def _stage_pickle(self, path, **fields):
+    def _stage(self, path, **fields):
         """Stage one record (first writer wins); ``False`` if present."""
         if path in self._pending or os.path.exists(path):
             return False
-        record = dict(fields, version=CACHE_FORMAT_VERSION)
-        self._pending[path] = pickle.dumps(record, protocol=4)
+        self._pending[path] = encode_record(fields, "pickle")
         return True
 
     # -- summaries ---------------------------------------------------------
@@ -125,7 +92,7 @@ class FleetIndex:
     def get_summary(self, closure):
         """(summary, literals, strays) for a closure key, or ``None``."""
         path = self._summary_path(closure)
-        record = self._read_pickle(path)
+        record = self._read_staged(path, _is_dict)
         summary = None
         if record is not None:
             summary = deserialize_summary(record.get("blob"))
@@ -140,7 +107,7 @@ class FleetIndex:
 
     def put_summary(self, closure, summary, literals, strays=()):
         """Stage one summary for the closure key (first writer wins)."""
-        if self._stage_pickle(
+        if self._stage(
             self._summary_path(closure),
             name=summary.name,
             addr=summary.addr,
@@ -159,20 +126,19 @@ class FleetIndex:
         ``addr`` that the key was computed for is ill-typed: it is
         quarantined and counted like an undecodable one.
         """
-        path = self._flow_path(key)
-        record = self._read_pickle(path)
+        def check(record):
+            enriched = _is_dict(record) and record.get("enriched")
+            base = getattr(enriched, "base", None)
+            return (isinstance(enriched, EnrichedSummary)
+                    and isinstance(base, FunctionSummary)
+                    and base.name == name and base.addr == addr
+                    and isinstance(record.get("def_pairs"), list)
+                    and isinstance(record.get("strays"), tuple))
+
+        record = self._read_staged(self._flow_path(key), check)
         if record is None:
             return None
-        enriched = record.get("enriched")
-        base = getattr(enriched, "base", None)
-        if (not isinstance(enriched, EnrichedSummary)
-                or not isinstance(base, FunctionSummary)
-                or base.name != name or base.addr != addr
-                or not isinstance(record.get("def_pairs"), list)
-                or not isinstance(record.get("strays"), tuple)):
-            self._reject(path)
-            return None
-        return enriched, record["def_pairs"], record["strays"]
+        return record["enriched"], record["def_pairs"], record["strays"]
 
     def put_flow(self, key, enriched, def_pairs, strays):
         """Stage one dataflow record (first writer wins).
@@ -180,8 +146,8 @@ class FleetIndex:
         ``enriched`` is the summary as callers import it (before the
         second alias pass), ``def_pairs`` its definitions after it.
         """
-        self._stage_pickle(self._flow_path(key), enriched=enriched,
-                           def_pairs=def_pairs, strays=tuple(strays))
+        self._stage(self._flow_path(key), enriched=enriched,
+                    def_pairs=def_pairs, strays=tuple(strays))
 
     # -- whole-image findings ----------------------------------------------
 
@@ -189,47 +155,22 @@ class FleetIndex:
         """(report_dict, entries {name: old_addr}) or ``None``."""
         if not image_fp or not report_fp:
             return None
-        record = self._read_json(self._image_path(image_fp, report_fp),
-                                 {"report": dict, "entries": dict})
+        record = self._read(
+            self._image_path(image_fp, report_fp),
+            lambda record: (_is_dict(record)
+                            and report_ok(record.get("report"))
+                            and _is_dict(record.get("entries"))),
+        )
         return None if record is None else (record["report"],
                                             record["entries"])
 
     def put_image_report(self, image_fp, report_fp, report_dict, entries):
-        if image_fp and report_fp:
-            self._write_json(self._image_path(image_fp, report_fp),
-                             report=report_dict, entries=entries)
-
-    def get_exact_report(self, sha, report_fp):
-        """(report_dict, fingerprints) for these exact bytes, or ``None``."""
-        if not report_fp:
-            return None
-        record = self._read_json(self._exact_path(sha, report_fp),
-                                 {"report": dict, "fingerprints": dict})
-        return None if record is None else (record["report"],
-                                            record["fingerprints"])
-
-    def put_exact_report(self, sha, report_fp, report_dict, fingerprints):
-        if report_fp:
-            self._write_json(self._exact_path(sha, report_fp),
-                             report=report_dict, fingerprints=fingerprints)
-
-    def _read_json(self, path, fields):
-        try:
-            return _load_json_record(path, fields)
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError):
-            self.corrupt += 1
-            _quarantine(path)
-            return None
-
-    def _write_json(self, path, **fields):
-        if os.path.exists(path):
+        if not image_fp or not report_fp:
             return
-        record = dict(fields, version=CACHE_FORMAT_VERSION)
-        _atomic_write(
-            path, json.dumps(record, sort_keys=True).encode("utf-8")
-        )
+        path = self._image_path(image_fp, report_fp)
+        if not os.path.exists(path):
+            write_record(path, {"report": report_dict, "entries": entries},
+                         "json")
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -248,4 +189,3 @@ class FleetIndex:
             "fleet_stored": self.stored,
             "cache_corrupt": self.corrupt,
         }
-

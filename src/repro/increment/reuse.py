@@ -1,4 +1,4 @@
-"""The incremental summary cache: binary-scoped bundle + fleet index.
+"""The incremental summary cache: the fleet index, bound to one binary.
 
 :class:`IncrementalSummaryCache` presents the exact ``get(addr)`` /
 ``put(addr, summary)`` / ``hits`` / ``misses`` surface the detector
@@ -9,12 +9,13 @@ computes the position-independent fingerprints this cache keys the
 fleet layer by (timed under the ``increment`` profiler phase); the
 dataflow-record hooks are described below.
 
-Lookup order: the per-binary bundle first (one dict probe), then the
-fleet index by closure fingerprint, rebasing the stored summary onto
-this binary's layout on a hit and back-filling the bundle so the next
-run of the same binary never pays the relocation again.
+A summary is looked up in the fleet index by closure fingerprint and
+rebased onto this binary's layout on a hit; a fleet-index run keeps no
+per-binary bundle.  A byte-identical rescan normally reads no
+summary at all: the exact-bytes report record answers it first
+(:class:`repro.pipeline.scheduler.JobCache`).
 
-In front of both, the detector asks ``get_flow`` for a function's
+In front of the summary, the detector asks ``get_flow`` for a function's
 dataflow record: its summaries as the alias and interprocedural stages
 left them.  ``bind_functions`` also computes the record keys
 (:func:`flow_keys`); ``put_flow`` stages a record for every function
@@ -25,7 +26,6 @@ whose callee closure changed or moved.
 """
 
 import hashlib
-import os
 from dataclasses import dataclass, replace
 
 from repro import profiling
@@ -39,14 +39,13 @@ from repro.increment.relocate import (
     stray_addresses,
     strays_compatible,
 )
-from repro.pipeline.cache import SummaryCache, summary_fingerprint
+from repro.pipeline.cache import summary_fingerprint
 
 
 class IncrementalSummaryCache:
-    """Two-level summary store: binary bundle in front of fleet index."""
+    """The fleet index as the detector's summary store."""
 
-    def __init__(self, bound, index, flow_config):
-        self.bound = bound
+    def __init__(self, index, flow_config):
         self.index = index
         self.flow_config = flow_config  # salts the dataflow keys
         self.binary = None
@@ -98,10 +97,6 @@ class IncrementalSummaryCache:
             )
 
     def get(self, addr):
-        summary = self.bound.get(addr)
-        if summary is not None:
-            self.hits += 1
-            return summary
         fingerprint = self._by_addr.get(addr)
         if fingerprint is None:
             self.misses += 1
@@ -120,13 +115,9 @@ class IncrementalSummaryCache:
             self.misses += 1
             return None
         self.hits += 1
-        # Back-fill the binary-scoped bundle: future runs of this
-        # exact binary hit on the first probe, relocation-free.
-        self.bound.put(addr, summary)
         return summary
 
     def put(self, addr, summary):
-        self.bound.put(addr, summary)
         fingerprint = self._by_addr.get(addr)
         if fingerprint is None or self.binary is None:
             return
@@ -204,16 +195,9 @@ class IncrementalSummaryCache:
                 enriched.def_pairs, sorted(strays),
             )
 
-    def flush(self, include_bundle=True):
-        """Persist staged writes.
-
-        Shard workers flush only their fleet-index records (content
-        addressed, first writer wins — safe concurrently); the
-        per-binary bundle is whole-file-replace and is flushed exactly
-        once, by the merge task (``include_bundle=False`` here).
-        """
-        if include_bundle:
-            self.bound.flush()
+    def flush(self):
+        """Persist staged records (content addressed, first writer
+        wins, so shard workers flush concurrently)."""
         self.index.flush()
 
     # -- whole-image findings reuse ----------------------------------------
@@ -255,21 +239,15 @@ class IncrementalSummaryCache:
     # -- accounting --------------------------------------------------------
 
     @property
-    def corrupt(self):
-        return self.bound.corrupt + self.index.corrupt
-
-    @property
     def stats(self):
         lookups = self.hits + self.misses
         stats = {
             "summary_hits": self.hits,
             "summary_misses": self.misses,
             "flow_hits": self.flow_hits,
-            "cache_corrupt": self.corrupt,
             "reuse_ratio": round(self.hits / lookups, 4) if lookups else 0.0,
         }
         stats.update(self.index.stats)
-        stats["cache_corrupt"] = self.corrupt
         return stats
 
     def closure_fingerprints(self):
@@ -320,16 +298,15 @@ def relocate_report(report_dict, old_entries, new_entries):
     return shifted
 
 
-def open_incremental_cache(cache_dir, sha, config):
-    """The standard two-level cache for one binary under ``cache_dir``."""
-    bound = SummaryCache(cache_dir).for_binary(sha, config)
+def open_incremental_cache(cache_dir, config):
+    """The fleet-index summary store for ``config`` under ``cache_dir``."""
     config_fp = summary_fingerprint(config)
     index = FleetIndex(cache_dir, config_fp)
     flow_config = "%s:aliasing=%d:similarity=%d" % (
         config_fp, config.enable_aliasing,
         config.enable_structure_similarity,
     )
-    return IncrementalSummaryCache(bound, index, flow_config)
+    return IncrementalSummaryCache(index, flow_config)
 
 
 @dataclass(frozen=True)
@@ -393,17 +370,3 @@ def flow_keys(binary, functions, fingerprints, flow_config):
         )
     return keys
 
-
-def clear_binary_bundles(cache_dir):
-    """Delete the per-binary summary bundles, keeping the fleet index.
-
-    Bench/test helper: proves the fleet layer alone can serve a warm
-    re-scan (the binary-scoped fast path is a strict optimisation).
-    """
-    root = os.path.join(cache_dir, "summaries")
-    removed = 0
-    for dirpath, _dirnames, filenames in os.walk(root):
-        for filename in filenames:
-            os.unlink(os.path.join(dirpath, filename))
-            removed += 1
-    return removed

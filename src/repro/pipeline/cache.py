@@ -10,74 +10,65 @@ sequence of near-free lookups, and a single flipped byte anywhere in
 the binary invalidates everything (content addressing, no mtime
 games).
 
-Cache-key hierarchy
--------------------
+Stores
+------
 
-Two addressing schemes coexist, from most to least specific:
+Each cache mode keeps each artefact in exactly one store:
 
-* **Binary-scoped** (this module) — keyed by *where* the code was
-  found: ``(binary-sha256, function-addr, config-fingerprint)``.
-  Exact, cheap (one dict probe per function), invalidated wholesale
-  by any rebuild.
-
-  - :class:`SummaryCache` — per-function :class:`FunctionSummary`
-    blobs, bundled one file per ``(binary, fingerprint)`` pair so a
-    warm lookup costs one read, not thousands
-    (``<dir>/summaries/<xx>/<sha>-<cfgfp>.pkl``).
-  - :class:`ReportCache` — whole-run report dicts keyed by
-    ``(binary-sha256, report-fingerprint)``; a hit skips the entire
-    analysis, not just symexec
-    (``<dir>/reports/<xx>/<sha>-<reportfp>.json``).
-
-* **Content-addressed** (:mod:`repro.increment.index`) — keyed by
-  *what* the code is: the function's position-independent Merkle
-  closure fingerprint (``<dir>/fleet/sum/...``) or the whole image's
-  closure-set fingerprint (``<dir>/fleet/img/...``).  Survives
-  relinking, version rebuilds and cross-image duplication; a hit pays
-  a relocation pass.  :class:`repro.increment.reuse.
-  IncrementalSummaryCache` layers it behind the binary-scoped bundle,
-  back-filling the bundle on every fleet hit.  With the fleet index
-  on, its image layer replaces :class:`ReportCache` as the one
-  whole-report store, for reads and writes alike
-  (:class:`repro.pipeline.scheduler.JobCache` holds that policy).
-  The image layer has two keys.  The exact-bytes key
+* :class:`ReportCache` — the exact-bytes report record, keyed by
   ``(binary-sha256, report-fingerprint)``
-  (``<dir>/fleet/img/sha/...``) is probed first, straight after the
-  binary is loaded: a byte-identical rescan is served with no
-  lifting, CFG recovery or fingerprinting.  Only on its miss does the
-  job recover the CFG and probe the closure-set key, which also
-  matches relinked and rebased images.
-  Between function summaries and whole images sits the dataflow
-  layer (``<dir>/fleet/flow/...``): one function's summaries as the
-  alias and interprocedural stages leave them, keyed by the name,
-  entry address, closure fingerprint and literal table of every
-  function in its direct callee closure, plus the knobs those stages
-  read.  It is probed before the summary: a hit skips the summary
-  read, both alias passes and interproc for that function, and needs
-  no relocation.  A patched image misses only where a closure member
-  changed or moved.
+  (``<dir>/reports/<xx>/<sha>-<reportfp>.json``).  Both modes read it
+  first; a hit skips the entire analysis.  Fleet-index runs also store
+  the closure fingerprints (``name -> {local, closure}``) that
+  ``--baseline`` deltas compare, and read a record without them as a
+  miss, which their publish then overwrites.
+* Per-binary runs keep summaries in :class:`SummaryCache` bundles, one
+  file per ``(binary, summary-fingerprint)`` pair so a warm lookup
+  costs one read, not thousands
+  (``<dir>/summaries/<xx>/<sha>-<cfgfp>.pkl``).
+* Fleet-index runs (``--incremental``) keep summaries only in the
+  content-addressed index (:mod:`repro.increment.index`), keyed by
+  *what* the code is rather than where it was found: per-function
+  summaries by closure fingerprint (``fleet/sum``), dataflow records
+  (``fleet/flow``) and whole reports by the image's closure-set
+  fingerprint (``fleet/img``), which also matches relinked and rebased
+  images.  :class:`repro.pipeline.scheduler.JobCache` holds the policy.
 
-Both layers share ``config-fingerprint`` semantics (only the knobs
-that shape the artefact participate) and ``CACHE_FORMAT_VERSION``.
+Both modes share ``config-fingerprint`` semantics (only the knobs that
+shape the artefact participate) and ``CACHE_FORMAT_VERSION``.
 
-Writes are atomic (tmp + ``os.replace``) so parallel fleet workers
-never expose torn files to each other.  A bundle that fails to load
-(torn write survived a crash, disk corruption, stale format) is
-**quarantined**: renamed to ``<name>.corrupt`` and counted, so the
-fault is visible in telemetry and the next run rebuilds a clean bundle
-instead of tripping over the same bytes forever.
+Records
+-------
+
+Every cache file is one record, written by :func:`write_record` and
+read by :func:`read_record`: a one-line header
+``DTREC <version> <codec> <crc32>`` followed by the payload, JSON or
+pickle.  The payload is decoded only after its ``zlib.crc32`` matches,
+so a torn write, a flipped bit or a record of another format version
+is rejected before any decoder sees it.  Writes are atomic (tmp +
+``os.replace``) so parallel fleet workers never expose torn files to
+each other.  A record that fails to read, or whose payload has the
+wrong shape, is **quarantined** by its store: renamed to
+``<name>.corrupt``, counted in ``cache_corrupt``, and read as a miss,
+so the fault is visible in telemetry and the next run rebuilds a clean
+record instead of tripping over the same bytes forever.  ``dtaint
+cache gc`` deletes quarantined files, stray temporaries and every
+record :func:`read_record` rejects.
 """
 
 import hashlib
 import json
 import os
 import pickle
+import zlib
 
 from repro.core.interproc import (
     SUMMARY_FORMAT_VERSION,
     deserialize_summary,
     serialize_summary,
 )
+from repro.errors import PipelineError
+from repro.pipeline.results import _check_findings
 
 # v2: reports grew coverage/degraded sections; summaries carry
 # deadline_hit (see SUMMARY_FORMAT_VERSION).
@@ -89,7 +80,9 @@ from repro.core.interproc import (
 # increment dedup index and service idempotent submission keys are all
 # engine-aware, so artifacts produced under one alias engine are never
 # served to a run using the other.
-CACHE_FORMAT_VERSION = 5
+# v6: every cache file is a checksummed record (read_record); the
+# exact-bytes report record moved from fleet/img/sha/ to reports/.
+CACHE_FORMAT_VERSION = 6
 
 # DTaintConfig knobs that shape the *per-function* summaries (symbolic
 # exploration limits) vs. the ones that only steer later whole-report
@@ -150,25 +143,61 @@ def _atomic_write(path, data):
     os.replace(tmp, path)
 
 
-def _load_json_record(path, fields=None):
-    """The current-format JSON cache record stored at ``path``.
+# ---------------------------------------------------------------------------
+# The record format every cache file uses.
+
+_RECORD_MAGIC = b"DTREC"
+# The record version covers the summary blob format too, so bumping
+# either makes every older record stale to ``cache gc``.
+_RECORD_VERSION = b"%d.%d" % (CACHE_FORMAT_VERSION, SUMMARY_FORMAT_VERSION)
+_CODECS = {
+    b"json": (lambda payload: json.dumps(payload, sort_keys=True)
+              .encode("utf-8"), json.loads),
+    b"pickle": (lambda payload: pickle.dumps(payload, protocol=4),
+                pickle.loads),
+}
+
+
+def encode_record(payload, codec):
+    """The bytes of one record holding ``payload``, encoded with
+    ``codec`` (``"json"`` or ``"pickle"``)."""
+    codec = codec.encode("ascii")
+    body = _CODECS[codec][0](payload)
+    return b"%s %s %s %08x\n%s" % (_RECORD_MAGIC, _RECORD_VERSION, codec,
+                                   zlib.crc32(body), body)
+
+
+def write_record(path, payload, codec):
+    """Atomically write one record holding ``payload`` to ``path``."""
+    _atomic_write(path, encode_record(payload, codec))
+
+
+def read_record(path, data=None):
+    """The payload of the record at ``path``, or of its bytes ``data``.
 
     Raises ``FileNotFoundError`` when the record is absent and
-    ``ValueError`` when its bytes do not decode, its ``version`` is not
-    :data:`CACHE_FORMAT_VERSION`, or a field named in ``fields``
-    (``name -> type``) has another type.  The fleet index's image layer
-    quarantines on ``ValueError``; ``cache gc`` deletes.
+    ``ValueError`` when its header is not a current-format record
+    header, its checksum does not match, or its payload does not
+    decode.  Nothing is decoded before the checksum passes.
     """
-    with open(path, "rb") as handle:
-        record = json.loads(handle.read())
-    if (not isinstance(record, dict)
-            or record.get("version") != CACHE_FORMAT_VERSION):
+    if data is None:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    header, _newline, body = data.partition(b"\n")
+    fields = header.split(b" ")
+    if (len(fields) != 4 or fields[0] != _RECORD_MAGIC
+            or fields[2] not in _CODECS):
+        raise ValueError("not a cache record: %s" % path)
+    if fields[1] != _RECORD_VERSION:
         raise ValueError("stale cache record %s" % path)
-    for name, kind in (fields or {}).items():
-        if not isinstance(record.get(name), kind):
-            raise ValueError("ill-typed %r in cache record %s"
-                             % (name, path))
-    return record
+    if fields[3] != b"%08x" % zlib.crc32(body):
+        raise ValueError("checksum mismatch in cache record %s" % path)
+    try:
+        return _CODECS[fields[2]][1](body)
+    except (pickle.UnpicklingError, EOFError, ValueError, TypeError,
+            AttributeError, ImportError) as exc:
+        raise ValueError("undecodable cache record %s: %s"
+                         % (path, exc)) from exc
 
 
 def _quarantine(path):
@@ -184,7 +213,70 @@ def _quarantine(path):
         pass
 
 
-class BoundSummaryCache:
+class RecordStore:
+    """A store of records that quarantines the ones it cannot use."""
+
+    def __init__(self):
+        self.corrupt = 0
+
+    def _read(self, path, check, data=None):
+        """The payload at ``path`` (or in ``data``), or ``None``.
+
+        ``None`` when the record is absent; a record that does not
+        read, or whose payload fails ``check``, is also ``None``,
+        after being quarantined and counted.
+        """
+        try:
+            payload = read_record(path, data)
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError):
+            payload = None
+        if payload is not None and check(payload):
+            return payload
+        self._reject(path)
+        return None
+
+    def _reject(self, path):
+        """Quarantine and count the record at ``path``."""
+        self.corrupt += 1
+        _quarantine(path)
+
+
+def report_ok(report):
+    """True when ``report`` has the shape every reader of a report
+    dict walks: the findings rules :func:`~repro.pipeline.results.
+    read_run_dir` applies, object-typed ``coverage`` and
+    ``phase_profile``, and a list of objects as ``degraded_functions``."""
+    if not isinstance(report, dict):
+        return False
+    degraded = report.get("degraded_functions", [])
+    if not (isinstance(report.get("coverage", {}), dict)
+            and isinstance(report.get("phase_profile", {}), dict)
+            and isinstance(degraded, list)
+            and all(isinstance(entry, dict) for entry in degraded)):
+        return False
+    try:
+        _check_findings("cached report", report)
+    except PipelineError:
+        return False
+    return True
+
+
+def _report_record_ok(record):
+    return (isinstance(record, dict) and report_ok(record.get("report"))
+            and isinstance(record.get("fingerprints"), (dict, type(None))))
+
+
+def _is_dict(payload):
+    return isinstance(payload, dict)
+
+
+# ---------------------------------------------------------------------------
+# The stores.
+
+
+class BoundSummaryCache(RecordStore):
     """The summary store scoped to one ``(binary, fingerprint)`` pair.
 
     This is the object handed to :class:`~repro.core.detector.DTaint`:
@@ -195,32 +287,16 @@ class BoundSummaryCache:
     """
 
     def __init__(self, path):
+        super().__init__()
         self.path = path
         self.hits = 0
         self.misses = 0
-        self.corrupt = 0
         self._bundle = None      # addr -> serialized blob
         self._dirty = False
 
     def _load(self):
-        if self._bundle is not None:
-            return self._bundle
-        self._bundle = {}
-        try:
-            with open(self.path, "rb") as handle:
-                loaded = pickle.load(handle)
-        except FileNotFoundError:
-            return self._bundle  # absent == empty cache
-        except (OSError, pickle.UnpicklingError, EOFError, ValueError,
-                AttributeError, ImportError):
-            self.corrupt += 1
-            _quarantine(self.path)
-            return self._bundle
-        if isinstance(loaded, dict):
-            self._bundle = loaded
-        else:
-            self.corrupt += 1
-            _quarantine(self.path)
+        if self._bundle is None:
+            self._bundle = self._read(self.path, _is_dict) or {}
         return self._bundle
 
     def get(self, addr):
@@ -265,7 +341,7 @@ class BoundSummaryCache:
         """Persist the bundle atomically; no-op when nothing changed."""
         if not self._dirty:
             return
-        _atomic_write(self.path, pickle.dumps(self._bundle, protocol=4))
+        write_record(self.path, self._bundle, "pickle")
         self._dirty = False
 
     @property
@@ -291,171 +367,90 @@ class SummaryCache:
         )
 
 
-class ReportCache:
-    """Whole-report results keyed by ``(binary-sha256, fingerprint)``."""
+class ReportCache(RecordStore):
+    """Exact-bytes report records keyed by ``(binary-sha256,
+    report-fingerprint)``, with the closure fingerprints of fleet-index
+    runs."""
 
     def __init__(self, root):
+        super().__init__()
         self.root = root
-        self.corrupt = 0
 
     def _path(self, sha, fingerprint):
         name = "%s-%s.json" % (sha, fingerprint)
         return os.path.join(self.root, "reports", sha[:2], name)
 
     def get(self, sha, fingerprint):
+        """``(report, fingerprints)`` stored for these bytes, or ``None``.
+
+        ``fingerprints`` is ``None`` in a record a per-binary run wrote.
+        """
         if fingerprint is None:
             return None
-        path = self._path(sha, fingerprint)
-        try:
-            with open(path, "r") as handle:
-                return json.load(handle)
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError):
-            self.corrupt += 1
-            _quarantine(path)
-            return None
+        record = self._read(self._path(sha, fingerprint), _report_record_ok)
+        return None if record is None else (record["report"],
+                                            record.get("fingerprints"))
 
-    def put(self, sha, fingerprint, report_dict):
+    def put(self, sha, fingerprint, report_dict, fingerprints=None):
         if fingerprint is None:
             return
-        blob = json.dumps(report_dict, sort_keys=True).encode("utf-8")
-        _atomic_write(self._path(sha, fingerprint), blob)
+        write_record(self._path(sha, fingerprint),
+                     {"report": report_dict, "fingerprints": fingerprints},
+                     "json")
 
 
 # ---------------------------------------------------------------------------
 # Garbage collection (``dtaint cache gc``).
 
-
-def _summary_blob_stale(blob):
-    """True when a bundled blob predates the current summary format."""
-    if not isinstance(blob, (bytes, bytearray)) or len(blob) <= 6:
-        return True
-    if blob[:5] != b"DTSUM":
-        return True
-    return blob[5] != SUMMARY_FORMAT_VERSION
+# The top-level directories under a cache root that hold records.
+_RECORD_DIRS = ("summaries", "reports", "fleet")
 
 
-def _gc_bundle(path, dry_run, stats):
-    """Prune stale per-function blobs inside one summary bundle."""
+def _unreadable(path):
     try:
-        with open(path, "rb") as handle:
-            bundle = pickle.load(handle)
-    except (OSError, pickle.UnpicklingError, EOFError, ValueError,
-            AttributeError, ImportError):
-        stats["files_removed"] += 1
-        stats["bytes_freed"] += _file_size(path)
-        if not dry_run:
-            os.unlink(path)
-        return
-    if not isinstance(bundle, dict):
-        stats["files_removed"] += 1
-        stats["bytes_freed"] += _file_size(path)
-        if not dry_run:
-            os.unlink(path)
-        return
-    stale = [
-        addr for addr, blob in bundle.items() if _summary_blob_stale(blob)
-    ]
-    if not stale:
-        return
-    stats["stale_summaries"] += len(stale)
-    if len(stale) == len(bundle):
-        stats["files_removed"] += 1
-        stats["bytes_freed"] += _file_size(path)
-        if not dry_run:
-            os.unlink(path)
-        return
-    if not dry_run:
-        for addr in stale:
-            del bundle[addr]
-        _atomic_write(path, pickle.dumps(bundle, protocol=4))
-
-
-def _gc_fleet_record(path, dry_run, stats, has_blob=True):
-    """Drop an undecodable fleet-index pickle record, or one written
-    under an older cache format (or, with ``has_blob``, an older
-    summary format)."""
-    try:
-        with open(path, "rb") as handle:
-            record = pickle.load(handle)
-        stale = (not isinstance(record, dict)
-                 or record.get("version") != CACHE_FORMAT_VERSION
-                 or (has_blob and _summary_blob_stale(record.get("blob"))))
-    except (OSError, pickle.UnpicklingError, EOFError, ValueError,
-            AttributeError, ImportError):
-        stale = True
-    if stale:
-        stats["stale_summaries"] += 1
-        stats["files_removed"] += 1
-        stats["bytes_freed"] += _file_size(path)
-        if not dry_run:
-            os.unlink(path)
-
-
-def _gc_image_record(path, dry_run, stats):
-    """Drop a stale-format or undecodable fleet image record."""
-    try:
-        _load_json_record(path)
+        read_record(path)
     except FileNotFoundError:
-        pass
+        return False
     except (OSError, ValueError):
-        stats["files_removed"] += 1
-        stats["bytes_freed"] += _file_size(path)
-        if not dry_run:
-            os.unlink(path)
-
-
-def _file_size(path):
-    try:
-        return os.path.getsize(path)
-    except OSError:
-        return 0
+        return True
+    return False
 
 
 def collect_garbage(root, dry_run=False):
-    """Prune quarantine leftovers and stale-format cache entries.
+    """Prune quarantine leftovers and every record that does not read.
 
     Removes ``*.corrupt`` quarantine files and orphaned ``*.tmp.*``
-    writes anywhere under ``root``, deletes fleet-index records (per-
-    function summaries, dataflow records and whole-image reports of
-    both keys) that do not decode or whose format version is not
-    :data:`CACHE_FORMAT_VERSION`, and rewrites
-    summary bundles dropping blobs older than the current summary
-    format (deleting bundles left empty).  With ``dry_run`` nothing is
+    writes anywhere under ``root``, and every file in a record
+    directory (``summaries/``, ``reports/``, ``fleet/``) that
+    :func:`read_record` rejects: undecodable, checksum-damaged, or
+    written under another record version.  With ``dry_run`` nothing is
     touched; the returned stats describe what *would* happen either
-    way: ``corrupt_removed``, ``tmp_removed``, ``stale_summaries``,
-    ``files_removed``, ``bytes_freed``.
+    way: ``corrupt_removed``, ``tmp_removed``, ``files_removed`` (the
+    rejected records) and ``bytes_freed``.
     """
     stats = {
-        "corrupt_removed": 0, "tmp_removed": 0, "stale_summaries": 0,
-        "files_removed": 0, "bytes_freed": 0,
+        "corrupt_removed": 0, "tmp_removed": 0, "files_removed": 0,
+        "bytes_freed": 0,
     }
     if not os.path.isdir(root):
         return stats
     for dirpath, _dirnames, filenames in os.walk(root):
+        top = os.path.relpath(dirpath, root).split(os.sep)[0]
         for filename in filenames:
             path = os.path.join(dirpath, filename)
             if filename.endswith(".corrupt"):
-                stats["corrupt_removed"] += 1
-                stats["bytes_freed"] += _file_size(path)
-                if not dry_run:
-                    os.unlink(path)
+                counter = "corrupt_removed"
             elif ".tmp." in filename:
-                stats["tmp_removed"] += 1
-                stats["bytes_freed"] += _file_size(path)
+                counter = "tmp_removed"
+            elif top in _RECORD_DIRS and _unreadable(path):
+                counter = "files_removed"
+            else:
+                continue
+            stats[counter] += 1
+            try:
+                stats["bytes_freed"] += os.path.getsize(path)
                 if not dry_run:
                     os.unlink(path)
-            elif (os.sep + "summaries" + os.sep in path
-                    and filename.endswith(".pkl")):
-                _gc_bundle(path, dry_run, stats)
-            elif (os.sep + os.path.join("fleet", "sum") + os.sep in path
-                    and filename.endswith(".pkl")):
-                _gc_fleet_record(path, dry_run, stats)
-            elif (os.sep + os.path.join("fleet", "flow") + os.sep in path
-                    and filename.endswith(".pkl")):
-                _gc_fleet_record(path, dry_run, stats, has_blob=False)
-            elif (os.sep + os.path.join("fleet", "img") + os.sep in path
-                    and filename.endswith(".json")):
-                _gc_image_record(path, dry_run, stats)
+            except OSError:
+                pass
     return stats

@@ -178,9 +178,9 @@ def rollup_document(results, wall_seconds):
         totals["selected_functions"] += coverage.get("selected", 0)
         totals["degraded_functions"] += coverage.get("degraded", 0)
         totals["truncated_summaries"] += coverage.get("truncated", 0)
-    lookups = totals["fleet_hits"] + totals["fleet_misses"]
+    lookups = totals["summary_hits"] + totals["summary_misses"]
     totals["reuse_ratio"] = (
-        round(totals["fleet_hits"] / lookups, 4) if lookups else 0.0
+        round(totals["summary_hits"] / lookups, 4) if lookups else 0.0
     )
     return {
         "wall_seconds": wall_seconds,

@@ -208,69 +208,70 @@ def _is_count(value):
 class JobCache:
     """One job's cache policy: every read and write the job makes.
 
-    Without the fleet index, summaries live in the per-binary bundle
-    and whole reports in :class:`ReportCache` (``use_report_cache``).
-    With it, summaries are the bundle layered over the content-
-    addressed index (:mod:`repro.increment`) and the index's image
-    layer is the only whole-report store, with two keys.  The exact-
-    bytes key (member sha256) answers a byte-identical rescan before
-    any CFG recovery and stores the closure fingerprints that
-    --baseline deltas compare against; the closure-set key, which
-    needs the CFG, also matches relinked or rebased images.  Every
-    publish and every closure-key hit writes the exact record, so an
-    image served once by relocation is an exact hit the next time.
-    ``cache_dir=None`` disables every layer.
+    Each cache mode keeps each artefact in one store.  Both modes
+    probe the exact-bytes report record (:class:`ReportCache`, keyed
+    by member sha256) first, before any CFG recovery.  Per-binary runs
+    keep summaries in the per-binary bundle.  Fleet-index runs keep
+    summaries only in the content-addressed index
+    (:mod:`repro.increment`), read a report record without closure
+    fingerprints as a miss, and on that miss recover the CFG to probe
+    the index's closure-set key, which also matches relinked or
+    rebased images.  Every publish and every closure-key hit writes
+    the report record with the closure fingerprints that --baseline
+    deltas compare against, so an image served once by relocation is
+    an exact hit the next time.  ``cache_dir=None`` disables every
+    store.
 
     The unsharded path and all three shard phases go through this
     class, so sharded and unsharded runs read, write and count the
     same cache records.
     """
 
-    def __init__(self, cache_dir, sha, config, use_report_cache=True,
-                 use_fleet_index=False):
+    def __init__(self, cache_dir, sha, config, use_fleet_index=False):
         self.sha = sha
         self.report_fp = report_fingerprint(config) if cache_dir else None
         self.reports = None
         self.summaries = None    # the store handed to the detector
         self.bundle = None       # its per-binary summary bundle
         self.incremental = bool(cache_dir and use_fleet_index)
-        self._fingerprints = None   # served by an exact-key hit
+        self._fingerprints = None   # served by a report record hit
         self._flags = {}
         self._absorbed = {}
         if not cache_dir:
             return
+        self.reports = ReportCache(cache_dir)
         if self.incremental:
             from repro.increment.reuse import open_incremental_cache
 
-            self.summaries = open_incremental_cache(cache_dir, sha, config)
-            self.bundle = self.summaries.bound
+            self.summaries = open_incremental_cache(cache_dir, config)
         else:
             self.summaries = self.bundle = SummaryCache(
                 cache_dir
             ).for_binary(sha, config)
-            if use_report_cache:
-                self.reports = ReportCache(cache_dir)
 
     def lookup(self, detector):
         """The whole cached report for this job, or ``None``.
 
-        In incremental mode the exact-bytes key is probed first, with
-        no CFG.  Only on its miss does this recover the detector's CFG
-        to compute the closure fingerprints the closure-set key needs.
+        The exact-bytes record is probed first, with no CFG.  Only on
+        its miss does a fleet-index run recover the detector's CFG to
+        compute the closure fingerprints the closure-set key needs.
         """
-        if self.reports is not None:
-            report_dict = self.reports.get(self.sha, self.report_fp)
-            if report_dict is not None:
+        if self.reports is None:
+            return None
+        hit = self.reports.get(self.sha, self.report_fp)
+        if hit is not None:
+            report_dict, fingerprints = hit
+            if not self.incremental:
                 self._flags["report_cache_hit"] = True
-            return report_dict
+                return report_dict
+            # A record a per-binary run wrote has no fingerprints: a
+            # miss here, overwritten by this run's publish.
+            if fingerprints is not None:
+                self._fingerprints = fingerprints
+                self._flags["image_findings_hit"] = True
+                return report_dict
         if not self.incremental:
             return None
-        exact = self.summaries.index.get_exact_report(self.sha,
-                                                      self.report_fp)
-        if exact is not None:
-            report_dict, self._fingerprints = exact
-            self._flags["image_findings_hit"] = True
-            return report_dict
         # Whole-image reuse: if every function's closure fingerprint
         # matches a previously analysed image (same config), its
         # findings apply verbatim modulo a uniform address shift.
@@ -282,18 +283,17 @@ class JobCache:
         return report_dict
 
     def publish(self, report_dict):
-        """Store a freshly computed report in the whole-report store."""
-        if self.reports is not None:
-            self.reports.put(self.sha, self.report_fp, report_dict)
-        elif self.incremental:
+        """Store a freshly computed report in the whole-report stores."""
+        if self.incremental:
             self.summaries.store_image_report(self.report_fp, report_dict)
+        if self.reports is not None:
             self._put_exact(report_dict)
 
     def _put_exact(self, report_dict):
-        self.summaries.index.put_exact_report(
-            self.sha, self.report_fp, report_dict,
-            self.summaries.closure_fingerprints(),
-        )
+        fingerprints = (self.summaries.closure_fingerprints()
+                        if self.incremental else None)
+        self.reports.put(self.sha, self.report_fp, report_dict,
+                         fingerprints)
 
     def seed(self, binary, fingerprints_blob):
         """Adopt the plan's full-graph closure fingerprints and
@@ -319,18 +319,10 @@ class JobCache:
         if self.bundle is not None:
             self.bundle.preload(blobs)
 
-    def flush(self, include_bundle=True):
-        """Persist staged summaries.
-
-        Shard exec tasks pass ``include_bundle=False``: fleet-index
-        records are content addressed (first writer wins, safe
-        concurrently), but the bundle is replace-whole-file, so only
-        the merge writes it.
-        """
-        if self.incremental:
-            self.summaries.flush(include_bundle=include_bundle)
-        elif include_bundle and self.bundle is not None:
-            self.bundle.flush()
+    def flush(self):
+        """Persist staged summaries."""
+        if self.summaries is not None:
+            self.summaries.flush()
 
     def absorb(self, stats):
         """Fold another task's counters into this job's (shard merge)."""
@@ -440,8 +432,7 @@ def _inject_fault(job, attempt):
         raise PipelineError("injected failure in job %r" % job.job_id)
 
 
-def execute_job(job, attempt=1, cache_dir=None, use_report_cache=True,
-                use_fleet_index=False):
+def execute_job(job, attempt=1, cache_dir=None, use_fleet_index=False):
     """Run one job to completion in *this* process; returns a payload.
 
     This is the body of a worker process, but it is also directly
@@ -449,19 +440,18 @@ def execute_job(job, attempt=1, cache_dir=None, use_report_cache=True,
     machinery).  The payload is a plain dict: status, report dict,
     binary sha, cache counters, resource usage.
 
-    With ``use_fleet_index`` the bound summary cache is layered over
-    the content-addressed fleet store (:mod:`repro.increment`):
-    summaries and whole-image findings are reused across *different*
-    binaries whenever the position-independent fingerprints match, and
-    the payload additionally carries each function's closure
-    fingerprint for version-delta reports.  :class:`JobCache` holds
+    With ``use_fleet_index`` summaries live in the content-addressed
+    fleet store (:mod:`repro.increment`): summaries and whole-image
+    findings are reused across *different* binaries whenever the
+    position-independent fingerprints match, and the payload
+    additionally carries each function's closure fingerprint for
+    version-delta reports.  :class:`JobCache` holds
     the whole policy.
     """
     from repro.core import DTaint
     from repro.eval.resources import measure
 
-    options = dict(cache_dir=cache_dir, use_report_cache=use_report_cache,
-                   use_fleet_index=use_fleet_index)
+    options = dict(cache_dir=cache_dir, use_fleet_index=use_fleet_index)
     if job.shard_phase:
         # Shard-lifecycle tasks (plan / exec / merge) have their own
         # executors over the same loader and JobCache.
@@ -524,9 +514,9 @@ class FleetScheduler:
     """Fans fleet jobs over warm pool workers with retry + quarantine."""
 
     def __init__(self, jobs=1, timeout=None, retries=1, cache_dir=None,
-                 use_report_cache=True, use_fleet_index=False,
-                 telemetry=None, backoff=0.1, backoff_cap=5.0, pool=None,
-                 rlimits=None, heartbeat=0.0, heartbeat_timeout=0.0):
+                 use_fleet_index=False, telemetry=None, backoff=0.1,
+                 backoff_cap=5.0, pool=None, rlimits=None, heartbeat=0.0,
+                 heartbeat_timeout=0.0):
         if jobs < 1:
             raise PipelineError("need at least one worker slot")
         self.jobs = jobs
@@ -552,7 +542,6 @@ class FleetScheduler:
         )
         self._options = {
             "cache_dir": cache_dir,
-            "use_report_cache": use_report_cache,
             "use_fleet_index": use_fleet_index,
         }
         # An externally supplied pool is shared (several schedulers

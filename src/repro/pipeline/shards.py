@@ -449,9 +449,11 @@ def _execute_shard(job, options):
                     )))
                 except Exception:
                     addr_taken = ()
-        # Batched per-shard index write; the per-binary bundle is
-        # flushed exactly once, by the merge.
-        cache.flush(include_bundle=False)
+        # Fleet-index records are content addressed (first writer
+        # wins), so each shard flushes its own; a per-binary bundle is
+        # replace-whole-file and flushed exactly once, by the merge.
+        if cache.bundle is None:
+            cache.flush()
         skeletons = [
             skeletonize(function)
             for function in detector.functions.values()

@@ -188,7 +188,7 @@ def render_fleet_summary(results, wall_seconds):
     if fleet_lookups:
         footer += (
             "\nfleet dedup: %d/%d summaries reused across binaries "
-            "(%.0f%% reuse ratio)"
+            "(%.0f%%)"
             % (total_fleet_hits, fleet_lookups,
                100.0 * total_fleet_hits / fleet_lookups)
         )

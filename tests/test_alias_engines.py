@@ -17,6 +17,8 @@ Acceptance properties:
   interproc summary application is attributed to ``alias``.
 """
 
+import os
+import shutil
 import time
 
 import pytest
@@ -229,14 +231,18 @@ class TestCacheIdentity:
                             alias_engine=engine)
 
         cache_dir = str(tmp_path)
-        cold = execute_job(job("dtaint"), cache_dir=cache_dir,
-                           use_report_cache=False)
+
+        def summaries_only(engine):
+            # Drop the report records: the summary store must answer.
+            shutil.rmtree(os.path.join(cache_dir, "reports"),
+                          ignore_errors=True)
+            return execute_job(job(engine), cache_dir=cache_dir)
+
+        cold = summaries_only("dtaint")
         assert cold["cache"]["summary_misses"] > 0
-        other = execute_job(job("sse"), cache_dir=cache_dir,
-                            use_report_cache=False)
+        other = summaries_only("sse")
         assert other["cache"]["summary_hits"] == 0
-        warm = execute_job(job("dtaint"), cache_dir=cache_dir,
-                           use_report_cache=False)
+        warm = summaries_only("dtaint")
         assert warm["cache"]["summary_hits"] > 0
         assert findings_fingerprint(warm["report"]) == \
             findings_fingerprint(cold["report"])

@@ -46,7 +46,6 @@ from repro.faultinject import injected
 from repro.increment import (
     FleetIndex,
     classify_functions,
-    clear_binary_bundles,
     compute_delta,
     delta_fingerprint,
     fingerprint_functions,
@@ -66,7 +65,12 @@ from repro.pipeline import (
     execute_job,
     findings_fingerprint,
 )
-from repro.pipeline.cache import CACHE_FORMAT_VERSION, summary_fingerprint
+from repro.pipeline.cache import (
+    CACHE_FORMAT_VERSION,
+    encode_record,
+    read_record,
+    summary_fingerprint,
+)
 from repro.pipeline.results import (
     image_document,
     read_run_dir,
@@ -116,8 +120,8 @@ def _symexec_job(job, cache_dir):
 
 
 def _exact_records(cache_dir):
-    """Paths of the exact-bytes image records under ``cache_dir``."""
-    root = os.path.join(cache_dir, "fleet", "img", "sha")
+    """Paths of the exact-bytes report records under ``cache_dir``."""
+    root = os.path.join(cache_dir, "reports")
     return sorted(
         os.path.join(dirpath, name)
         for dirpath, _dirnames, names in os.walk(root)
@@ -149,9 +153,16 @@ def _image_doc(built, report):
     }
 
 
+def _stale(data):
+    """Record bytes ``data`` relabelled with an older record version."""
+    header, newline, body = data.partition(b"\n")
+    fields = header.split(b" ")
+    fields[1] = b"0.0"
+    return b" ".join(fields) + newline + body
+
+
 def _scan_image(built, cache_dir, config):
-    sha = binary_sha256(built.elf_bytes)
-    cache = open_incremental_cache(cache_dir, sha, config)
+    cache = open_incremental_cache(cache_dir, config)
     report = DTaint(
         built.binary, config=config, name=built.name, summary_cache=cache
     ).run()
@@ -301,7 +312,7 @@ class TestFleetIndex:
         path = index._summary_path("ab" * 16)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "wb") as handle:
-            pickle.dump({"version": CACHE_FORMAT_VERSION + 1}, handle)
+            handle.write(_stale(encode_record({"blob": b""}, "pickle")))
         assert index.get_summary("ab" * 16) is None
         assert index.corrupt == 1
         assert not os.path.exists(path)
@@ -315,9 +326,9 @@ class TestIncrementalScan:
         old_built, _, _ = version_pair
         report, cold = _scan_image(old_built, str(tmp_path), config)
         assert cold.stats["fleet_stored"] > 0
-        # Drop the binary-scoped bundles: the fleet layer must carry
-        # the warm re-scan alone, via relocation at offset zero.
-        assert clear_binary_bundles(str(tmp_path)) > 0
+        # No per-binary bundle: the fleet layer carries the warm
+        # re-scan alone, via relocation at offset zero.
+        assert not os.path.exists(os.path.join(str(tmp_path), "summaries"))
         before = profiling.PROFILER.snapshot()
         warm_report, warm = _scan_image(old_built, str(tmp_path), config)
         counters = profiling.delta(
@@ -372,15 +383,38 @@ class TestIncrementalScan:
     def test_execute_job_image_findings_reuse(self, tmp_path):
         job = FleetJob(job_id=KEY, kind="profile", key=KEY, scale=SCALE)
         cold = execute_job(job, cache_dir=str(tmp_path),
-                           use_fleet_index=True, use_report_cache=False)
+                           use_fleet_index=True)
         assert cold["fingerprints"]
         assert not cold["cache"].get("image_findings_hit")
+        # Each artefact has one store: no per-binary bundle, and the
+        # exact-bytes record lives in reports/.
+        assert not os.path.exists(str(tmp_path / "summaries"))
+        assert not os.path.exists(str(tmp_path / "fleet" / "img" / "sha"))
+        assert len(_exact_records(str(tmp_path))) == 1
         warm = execute_job(job, cache_dir=str(tmp_path),
-                           use_fleet_index=True, use_report_cache=False)
+                           use_fleet_index=True)
         assert warm["cache"]["image_findings_hit"]
         assert warm["fingerprints"] == cold["fingerprints"]
         assert findings_fingerprint(warm["report"]) == \
             findings_fingerprint(cold["report"])
+
+    def test_one_job_rollup_reuse_ratio_equals_the_job(self, tmp_path,
+                                                        version_pair):
+        from repro.pipeline.scheduler import JobResult
+
+        old_built, new_built, _ = version_pair
+        cache_dir = str(tmp_path / "cache")
+        execute_job(_elf_job(tmp_path, old_built, job_id="old"),
+                    cache_dir=cache_dir, use_fleet_index=True)
+        job = _elf_job(tmp_path, new_built, job_id="new")
+        payload = execute_job(job, cache_dir=cache_dir,
+                              use_fleet_index=True)
+        ratio = payload["cache"]["reuse_ratio"]
+        assert 0.0 < ratio < 1.0
+        result = JobResult(job=job, status="ok", attempts=1,
+                           report=payload["report"], cache=payload["cache"])
+        assert rollup_document([result], 1.0)["totals"]["reuse_ratio"] \
+            == ratio
 
 
 class TestExactImageKey:
@@ -414,14 +448,14 @@ class TestExactImageKey:
     ):
         job, cache_dir, cold = self._cold(tmp_path, version_pair)
         record, = _exact_records(cache_dir)
-        with open(record) as handle:
-            doc = json.load(handle)
-        if damage == "stale":
-            doc["version"] = CACHE_FORMAT_VERSION - 1
-        elif damage == "ill_typed":
+        doc = read_record(record)
+        if damage == "ill_typed":
             doc["fingerprints"] = sorted(doc["fingerprints"])
-        blob = (b"{\"version\": " if damage == "undecodable"
-                else json.dumps(doc).encode("utf-8"))
+        blob = encode_record(doc, "json")
+        if damage == "stale":
+            blob = _stale(blob)
+        elif damage == "undecodable":
+            blob = blob[:len(blob) // 2]
         with open(record, "wb") as handle:
             handle.write(blob)
         warm, symexec = _symexec_job(job, cache_dir)
@@ -431,6 +465,26 @@ class TestExactImageKey:
         self._assert_same(warm, cold)
         # The closure-key hit wrote a clean record back.
         assert _exact_records(cache_dir) == [record]
+
+    def test_per_binary_record_is_a_fleet_index_miss(self, tmp_path,
+                                                     version_pair):
+        job = _elf_job(tmp_path, version_pair[0])
+        cache_dir = str(tmp_path / "cache")
+        plain = execute_job(job, cache_dir=cache_dir)
+        record, = _exact_records(cache_dir)
+        assert read_record(record)["fingerprints"] is None
+        cold, symexec = _symexec_job(job, cache_dir)
+        assert symexec > 0
+        assert not cold["cache"].get("image_findings_hit")
+        assert cold["cache"]["cache_corrupt"] == 0
+        # The fleet-index run overwrote the record with its fingerprints.
+        assert read_record(record)["fingerprints"] == cold["fingerprints"]
+        self._assert_same(_symexec_job(job, cache_dir)[0], cold)
+        # Either mode reads the shared record.
+        again = execute_job(job, cache_dir=cache_dir)
+        assert again["cache"]["report_cache_hit"]
+        assert findings_fingerprint(again["report"]) == \
+            findings_fingerprint(plain["report"])
 
     def test_closure_hit_backfills_exact_record(self, tmp_path, version_pair,
                                                 monkeypatch):
@@ -526,12 +580,11 @@ def _damage_records(cache_dir, damage):
         if damage == "deleted":
             os.unlink(path)
             continue
-        with open(path, "rb") as handle:
-            record = pickle.load(handle)
+        record = read_record(path)
         blob = [
             b"\x80\x04garbage",
-            pickle.dumps(dict(record, version=CACHE_FORMAT_VERSION - 1)),
-            pickle.dumps(dict(record, enriched="not a summary")),
+            _stale(encode_record(record, "pickle")),
+            encode_record(dict(record, enriched="not a summary"), "pickle"),
         ][index % 3]
         with open(path, "wb") as handle:
             handle.write(blob)
@@ -602,8 +655,7 @@ class TestIncrementalEqualsCold:
         binary = load_elf(data)
         config = DTaintConfig(modules=pair.old.modules)
         cache_dir = str(tmp_path)
-        cache = open_incremental_cache(cache_dir, binary_sha256(data),
-                                       config)
+        cache = open_incremental_cache(cache_dir, config)
         detector = DTaint(binary, config=config, summary_cache=cache)
         detector.build_cfg()
         # A function other functions' records depend on.
@@ -644,8 +696,8 @@ class TestIncrementalEqualsCold:
         cache_dir = str(tmp_path)
 
         def scan(with_cache):
-            cache = (open_incremental_cache(cache_dir, binary_sha256(data),
-                                            config) if with_cache else None)
+            cache = (open_incremental_cache(cache_dir, config)
+                     if with_cache else None)
             detector = DTaint(load_elf(data), config=config,
                               summary_cache=cache)
             report = detector.run()
@@ -660,7 +712,6 @@ class TestIncrementalEqualsCold:
                    for other, flow in indexed.flows.items() if other != name)
         )
         # The victim's own records are gone, so this run analyses it.
-        clear_binary_bundles(cache_dir)
         fingerprint = indexed.fingerprints[victim]
         os.unlink(indexed.index._summary_path(fingerprint.closure))
         os.unlink(indexed.index._flow_path(indexed.flows[victim].key))
@@ -749,8 +800,8 @@ class TestRecursiveGroup:
         cache_dir = str(tmp_path)
 
         def scan(with_cache):
-            cache = (open_incremental_cache(cache_dir, binary_sha256(data),
-                                            config) if with_cache else None)
+            cache = (open_incremental_cache(cache_dir, config)
+                     if with_cache else None)
             detector = DTaint(load_elf(data), config=config,
                               summary_cache=cache)
             report = detector.run()
@@ -843,29 +894,38 @@ class TestDelta:
 
 class TestCacheGC:
     def _seed(self, root):
-        os.makedirs(os.path.join(root, "summaries", "ab"), exist_ok=True)
-        os.makedirs(os.path.join(root, "fleet", "sum", "cd"), exist_ok=True)
-        corrupt = os.path.join(root, "summaries", "ab", "x.pkl.corrupt")
-        with open(corrupt, "wb") as handle:
-            handle.write(b"junk")
-        tmp = os.path.join(root, "summaries", "ab", "y.pkl.tmp.123")
-        with open(tmp, "wb") as handle:
-            handle.write(b"half-written")
-        stale_bundle = os.path.join(root, "summaries", "ab", "z.pkl")
-        with open(stale_bundle, "wb") as handle:
-            pickle.dump({0x1000: b"DTSUM" + bytes([255]) + b"old"}, handle)
-        stale_fleet = os.path.join(root, "fleet", "sum", "cd", "w.pkl")
-        with open(stale_fleet, "wb") as handle:
-            pickle.dump({"version": CACHE_FORMAT_VERSION + 5}, handle)
-        os.makedirs(os.path.join(root, "fleet", "flow", "ef"), exist_ok=True)
-        stale_flow = os.path.join(root, "fleet", "flow", "ef", "v.pkl")
-        with open(stale_flow, "wb") as handle:
-            pickle.dump({"version": CACHE_FORMAT_VERSION - 1}, handle)
-        torn_flow = os.path.join(root, "fleet", "flow", "ef", "u.pkl")
-        with open(torn_flow, "wb") as handle:
-            handle.write(pickle.dumps({"version": CACHE_FORMAT_VERSION})[:9])
-        return (corrupt, tmp, stale_bundle, stale_fleet, stale_flow,
-                torn_flow)
+        """Quarantine leftovers plus one bad record of every kind; the
+        records are returned after the first two paths."""
+        def put(relpath, data):
+            path = os.path.join(root, *relpath.split("/"))
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "wb") as handle:
+                handle.write(data)
+            return path
+
+        live = encode_record({"report": {}, "fingerprints": None}, "json")
+        flipped = bytearray(live)
+        flipped[-3] ^= 0x01
+        return [
+            put("summaries/ab/x.pkl.corrupt", b"junk"),
+            put("summaries/ab/y.pkl.tmp.123", b"half-written"),
+            # A bundle from before the record format.
+            put("summaries/ab/z.pkl", pickle.dumps(
+                {0x1000: b"DTSUM" + bytes([255]) + b"old"})),
+            put("fleet/sum/cd/w.pkl",
+                _stale(encode_record({"blob": b""}, "pickle"))),
+            put("fleet/flow/ef/v.pkl", pickle.dumps(
+                {"version": CACHE_FORMAT_VERSION - 1})),
+            put("fleet/flow/ef/u.pkl",
+                encode_record({"strays": ()}, "pickle")[:20]),
+            put("reports/ab/ab-torn.json", live[:len(live) // 2]),
+            put("reports/ab/ab-stale.json", _stale(live)),
+            put("reports/ab/ab-flipped.json", bytes(flipped)),
+            # The exact-bytes key's former home.
+            put("fleet/img/sha/cd/cd-old.json", json.dumps(
+                {"version": CACHE_FORMAT_VERSION - 1, "report": {},
+                 "fingerprints": {}}).encode("utf-8")),
+        ]
 
     def test_dry_run_touches_nothing(self, tmp_path):
         root = str(tmp_path)
@@ -873,7 +933,7 @@ class TestCacheGC:
         stats = collect_garbage(root, dry_run=True)
         assert stats["corrupt_removed"] == 1
         assert stats["tmp_removed"] == 1
-        assert stats["files_removed"] >= 4
+        assert stats["files_removed"] == len(paths) - 2
         assert stats["bytes_freed"] > 0
         for path in paths:
             assert os.path.exists(path)
@@ -884,7 +944,7 @@ class TestCacheGC:
         stats = collect_garbage(root)
         assert stats["corrupt_removed"] == 1
         assert stats["tmp_removed"] == 1
-        assert stats["stale_summaries"] >= 1
+        assert stats["files_removed"] == len(paths) - 2
         for path in paths:
             assert not os.path.exists(path)
 
@@ -897,7 +957,6 @@ class TestCacheGC:
         stats = collect_garbage(str(tmp_path))
         assert stats["files_removed"] == 0
         # The fleet layer still serves a full warm re-scan.
-        clear_binary_bundles(str(tmp_path))
         _, warm = _scan_image(old_built, str(tmp_path), config)
         assert warm.stats["summary_misses"] == 0
 
@@ -908,9 +967,11 @@ class TestCacheGC:
         img = os.path.join(cache_dir, "fleet", "img")
         live = sorted(
             os.path.join(dirpath, name)
-            for dirpath, _dirnames, names in os.walk(img) for name in names
+            for dirpath, _dirnames, names in os.walk(cache_dir)
+            for name in names
         )
-        assert live
+        assert _exact_records(cache_dir) and any(
+            path.startswith(img) for path in live)
         stale = [os.path.join(img, "ab", "ab-old.json"),
                  os.path.join(img, "sha", "cd", "cd-old.json"),
                  os.path.join(img, "sha", "ef", "ef-torn.json")]

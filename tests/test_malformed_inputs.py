@@ -3,7 +3,9 @@
 The loader and the firmware extractors sit on the trust boundary: the
 bytes they parse come off flash images.  A results directory handed
 back to ``results migrate`` or ``fleet-scan --baseline`` is another
-such input, and fails as :class:`PipelineError`.  The contract under test is
+such input, and fails as :class:`PipelineError`.  A damaged cache
+record is read as a miss: quarantined, counted, and never a crash or a
+changed finding.  The contract under test is
 that any corruption — truncation at every offset, seeded bit flips,
 zero-length files, forged header fields — surfaces as the typed
 :class:`MalformedInput` hierarchy (``ELFError`` / ``FirmwareError``)
@@ -13,11 +15,12 @@ a hang.
 
 import os
 import random
+import shutil
 import struct
 
 import pytest
 
-from repro.corpus.profiles import build_firmware
+from repro.corpus.profiles import analyzed_module_prefixes, build_firmware
 from repro.cli import EXIT_USAGE
 from repro.cli import main as cli_main
 from repro.errors import ELFError, FirmwareError, MalformedInput, PipelineError
@@ -31,7 +34,18 @@ from repro.firmware.image import (
 from repro.firmware.simplefs import SimpleFS
 from repro.loader.binary import load_elf
 from repro.loader.elf import ElfFile
+from repro.pipeline import (
+    FleetJob,
+    FleetScheduler,
+    execute_job,
+    findings_fingerprint,
+)
+from repro.pipeline.cache import read_record, write_record
 from repro.service import ResultsDB, migrate_output_dir
+
+# Picks the damaged records and the damage; the CI chaos matrix runs
+# this suite under several seeds.
+CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
 
 
 @pytest.fixture(scope="module")
@@ -334,3 +348,100 @@ class TestMalformedRunDir:
         assert "bad --baseline" in capsys.readouterr().err
         # Rejected before scanning: nothing was written.
         assert not os.path.exists(out_dir)
+
+
+# Record directories in the order a job of each cache mode reads them.
+RECORD_KINDS = {
+    "per_binary": ("reports", "summaries"),
+    "fleet_index": ("reports", "fleet/img", "fleet/flow", "fleet/sum"),
+}
+
+
+def _records(cache_dir, kind):
+    root = os.path.join(cache_dir, *kind.split("/"))
+    return sorted(
+        os.path.join(dirpath, name)
+        for dirpath, _dirnames, names in os.walk(root)
+        for name in names if not name.endswith(".corrupt")
+    )
+
+
+def _damage(path, how, rng):
+    with open(path, "rb") as handle:
+        data = bytearray(handle.read())
+    if how == "truncate":
+        data = data[:rng.randrange(len(data))]
+    elif how == "flip":
+        for bit in rng.sample(range(8 * len(data)), rng.randint(1, 4)):
+            data[bit // 8] ^= 1 << (bit % 8)
+    else:
+        data = bytearray(len(data))
+    with open(path, "wb") as handle:
+        handle.write(bytes(data))
+
+
+class TestCorruptCacheRecords:
+    """Every cache record a job reads may be damaged; the job still
+    comes back ``ok`` with its cold findings."""
+
+    @pytest.fixture(scope="class")
+    def populated(self, built, tmp_path_factory):
+        """An ELF job, its no-cache findings, and one populated cache
+        per mode."""
+        root = tmp_path_factory.mktemp("records")
+        path = root / "httpd.elf"
+        path.write_bytes(built.elf_bytes)
+        job = FleetJob(job_id="httpd", kind="elf", path=str(path),
+                       modules=analyzed_module_prefixes("dgn1000"))
+        caches = {}
+        for mode in RECORD_KINDS:
+            caches[mode] = str(root / mode)
+            execute_job(job, cache_dir=caches[mode],
+                        use_fleet_index=mode == "fleet_index")
+        return job, findings_fingerprint(execute_job(job)["report"]), caches
+
+    def _copy(self, populated, mode, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        shutil.copytree(populated[2][mode], cache_dir)
+        return cache_dir
+
+    @pytest.mark.parametrize("how", ["truncate", "flip", "zero"])
+    @pytest.mark.parametrize("mode,kind", [
+        (mode, kind) for mode, kinds in RECORD_KINDS.items()
+        for kind in kinds
+    ])
+    def test_damaged_record_is_quarantined(self, populated, tmp_path,
+                                           mode, kind, how):
+        job, cold_sha, _ = populated
+        cache_dir = self._copy(populated, mode, tmp_path)
+        kinds = RECORD_KINDS[mode]
+        # Drop the records read before this kind, so the job reads it.
+        for earlier in kinds[:kinds.index(kind)]:
+            shutil.rmtree(os.path.join(cache_dir, *earlier.split("/")))
+        rng = random.Random("%d:%s:%s:%s" % (CHAOS_SEED, mode, kind, how))
+        victim = rng.choice(_records(cache_dir, kind))
+        _damage(victim, how, rng)
+        payload = execute_job(job, cache_dir=cache_dir,
+                              use_fleet_index=mode == "fleet_index")
+        assert payload["status"] == "ok"
+        assert findings_fingerprint(payload["report"]) == cold_sha
+        assert payload["cache"]["cache_corrupt"] == 1
+        assert os.path.exists(victim + ".corrupt")
+
+    @pytest.mark.parametrize("report", [
+        [], {"vulnerabilities": 5}, {"degraded_functions": [1]},
+    ], ids=["list", "section_not_list", "degraded_not_objects"])
+    @pytest.mark.parametrize("mode", sorted(RECORD_KINDS))
+    def test_ill_typed_report_record_is_a_miss(self, populated, tmp_path,
+                                               mode, report):
+        job, cold_sha, _ = populated
+        cache_dir = self._copy(populated, mode, tmp_path)
+        path, = _records(cache_dir, "reports")
+        write_record(path, dict(read_record(path), report=report), "json")
+        with FleetScheduler(jobs=1, backoff=0.0, cache_dir=cache_dir,
+                            use_fleet_index=mode == "fleet_index") as pool:
+            result, = pool.run([job])
+        assert result.ok, result.error
+        assert findings_fingerprint(result.report) == cold_sha
+        assert result.cache["cache_corrupt"] == 1
+        assert os.path.exists(path + ".corrupt")

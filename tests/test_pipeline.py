@@ -13,6 +13,8 @@ content-addressed caches:
 """
 
 import json
+import os
+import shutil
 
 import pytest
 
@@ -170,11 +172,16 @@ class TestReportCache:
         sha = binary_sha256(b"bytes")
         assert cache.get(sha, fingerprint) is None
         cache.put(sha, fingerprint, {"binary": "x", "vulnerabilities": []})
-        assert cache.get(sha, fingerprint)["binary"] == "x"
+        report, fingerprints = cache.get(sha, fingerprint)
+        assert report["binary"] == "x" and fingerprints is None
         assert cache.get(binary_sha256(b"other"), fingerprint) is None
         assert cache.get(sha, None) is None
         cache.put(sha, None, {"binary": "y"})   # uncacheable: dropped
-        assert cache.get(sha, fingerprint)["binary"] == "x"
+        assert cache.get(sha, fingerprint)[0]["binary"] == "x"
+        # A fleet-index run stores its closure fingerprints alongside.
+        closures = {"main": {"local": "a", "closure": "b"}}
+        cache.put(sha, fingerprint, {"binary": "z"}, closures)
+        assert cache.get(sha, fingerprint) == ({"binary": "z"}, closures)
 
 
 class TestTypedErrors:
@@ -221,9 +228,10 @@ class TestScheduler:
         kinds = [e["event"] for e in read_events(telemetry_path)]
         assert kinds.count("job_finish") == 1
         assert "cache_report" in kinds and "run_finish" in kinds
-        # Summary layer: everything hits when only the report cache is off.
+        # Summary layer: everything hits once the report record is gone.
+        shutil.rmtree(os.path.join(cache_dir, "reports"))
         warm = FleetScheduler(
-            jobs=1, cache_dir=cache_dir, use_report_cache=False,
+            jobs=1, cache_dir=cache_dir,
         ).run([_profile_job("dir645")])[0]
         assert warm.cache["summary_misses"] == 0
         assert warm.cache["summary_hits"] == cold.cache["summary_misses"]
@@ -409,8 +417,6 @@ class TestScanJsonCLI:
 
 class TestCacheQuarantine:
     def test_corrupt_bundle_is_quarantined(self, tmp_path):
-        import os
-
         elf = _small_elf()
         _report, bound = _scan(elf, str(tmp_path))
         with open(bound.path, "wb") as handle:
@@ -424,8 +430,6 @@ class TestCacheQuarantine:
         assert warm.hits > 0 and warm.misses == 0
 
     def test_corrupt_report_cache_is_quarantined(self, tmp_path):
-        import os
-
         cache = ReportCache(str(tmp_path))
         fingerprint = report_fingerprint(DTaintConfig())
         cache.put("ab" * 32, fingerprint, {"binary": "x"})
@@ -437,7 +441,7 @@ class TestCacheQuarantine:
         assert os.path.exists(path + ".corrupt")
         # A later put/get cycle works on a clean slate.
         cache.put("ab" * 32, fingerprint, {"binary": "x"})
-        assert cache.get("ab" * 32, fingerprint) == {"binary": "x"}
+        assert cache.get("ab" * 32, fingerprint) == ({"binary": "x"}, None)
 
 
 class TestBackoff:

@@ -6,6 +6,9 @@ execution, observable through the ``symexec_functions`` phase counter
 (PR 1's cache path, now assertable).
 """
 
+import os
+import shutil
+
 from repro import profiling
 from repro.pipeline.scheduler import FleetJob, FleetScheduler, execute_job
 from repro.pipeline.telemetry import (
@@ -75,15 +78,15 @@ class TestPipelineIntegration:
 
     def test_warm_summary_cache_never_reenters_symexec(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        cold = execute_job(_job(), cache_dir=cache_dir,
-                           use_report_cache=False)
+        cold = execute_job(_job(), cache_dir=cache_dir)
         assert cold["cache"]["summary_misses"] > 0
         assert cold["report"]["phase_profile"]["counters"][
             "symexec_functions"] > 0
 
+        # Drop the report record: the summary bundle must answer.
+        shutil.rmtree(os.path.join(cache_dir, "reports"))
         before = profiling.PROFILER.snapshot()
-        warm = execute_job(_job(), cache_dir=cache_dir,
-                           use_report_cache=False)
+        warm = execute_job(_job(), cache_dir=cache_dir)
         window = profiling.delta(before, profiling.PROFILER.snapshot())
 
         assert warm["cache"]["summary_misses"] == 0

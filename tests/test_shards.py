@@ -238,6 +238,7 @@ class TestShardIdentity:
                 for run in ("cold", "warm", "summaries"):
                     if run == "summaries":
                         shutil.rmtree(str(cache_dir / "fleet" / "img"))
+                        shutil.rmtree(str(cache_dir / "reports"))
                     result = scheduler.run(
                         [_image_job(image_elf, shards,
                                     job_id="i%d%s" % (shards, run))]
