@@ -22,8 +22,6 @@ This module reproduces exactly that cost model on our substrate:
 import time
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.symexec import SymbolicEngine
 from repro.symexec.value import SymDeref, derefs_in, walk
 
@@ -68,7 +66,7 @@ class TopDownDDG:
             callers = [
                 c for c in self.call_graph.callers(name)
                 if not self.functions[c].is_import
-            ] if name in self.call_graph.graph else []
+            ] if name in self.call_graph else []
             if not callers:
                 roots.append(name)
         return roots or [
@@ -141,24 +139,28 @@ class TopDownDDG:
         started = time.perf_counter()
         self.graph = self._link_definitions(analyzed)
         self.stats.ddg_seconds = time.perf_counter() - started
-        self.stats.edges = self.graph.number_of_edges()
+        self.stats.edges = sum(len(uses) for uses in self.graph.values())
         return self.graph
 
     # ------------------------------------------------------------------
 
     def _link_definitions(self, analyzed):
-        """Def-use linking over every variable in every context."""
-        graph = nx.DiGraph()
+        """Def-use linking over every variable in every context.
+
+        Returns the def-use graph as a dict: each definition node maps
+        to the set of definition nodes that use it.
+        """
+        graph = {}
         for (name, context), summary in analyzed.items():
             defs_by_var = {}    # defined location -> [(node, value)]
             defs_by_value = {}  # produced value    -> [node]
             node_id = 0
 
-            def add_def(var, site, value):
+            def add_def(var, value):
                 nonlocal node_id
                 node = (name, context, "def", node_id)
                 node_id += 1
-                graph.add_node(node, var=var, site=site)
+                graph[node] = set()
                 defs_by_var.setdefault(var, []).append((node, value))
                 if value is not None:
                     defs_by_value.setdefault(value, []).append(node)
@@ -166,9 +168,9 @@ class TopDownDDG:
                 return node
 
             for pair in summary.def_pairs:
-                add_def(pair.dest, pair.site, pair.value)
+                add_def(pair.dest, pair.value)
             for reg, site, value in summary.register_defs:
-                add_def(("reg", reg, site), site, value)
+                add_def(("reg", reg, site), value)
 
             # Link every definition whose value mentions either a
             # defined location or a value another definition produced —
@@ -188,7 +190,7 @@ class TopDownDDG:
                         )[:self.max_fanin]
                         for other_node in sources:
                             if other_node != node:
-                                graph.add_edge(other_node, node)
+                                graph[other_node].add(node)
                                 edges_here += 1
         return graph
 

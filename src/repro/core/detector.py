@@ -26,6 +26,7 @@ from repro.core.structure import resolve_indirect_calls
 from repro.core.types import infer_types, root_pointer
 from repro.symexec import Constraint, SymbolicEngine
 from repro.symexec.value import SymVar, substitute
+from repro.utils.heap import gc_paused
 
 _FORMALS = frozenset("arg%d" % i for i in range(10))
 
@@ -147,6 +148,7 @@ class DTaint:
             symbols = [s for s in symbols if config.function_filter(s.name)]
         return symbols
 
+    @gc_paused
     def build_cfg(self):
         """Stage 0: CFG recovery over the selected functions.
 
@@ -197,6 +199,7 @@ class DTaint:
         self._prebuilt_address_taken = address_taken
         return self.summaries
 
+    @gc_paused
     def analyze_functions(self):
         """Stage 1: static symbolic analysis, one summary per function.
 
@@ -322,6 +325,7 @@ class DTaint:
             self._degrade(name, summary.addr, "aliasing", exc, started)
             del self.summaries[name]
 
+    @gc_paused
     def run_dataflow(self):
         """Stages 2-4: aliasing, similarity, interprocedural data flow."""
         if self.summaries is None:
@@ -409,6 +413,7 @@ class DTaint:
                 put_flow(enriched, def_pairs, self.summaries, self.degraded)
         return self.enriched
 
+    @gc_paused
     def detect(self):
         """Stage 5: sinks, backward paths, sanitization checks.
 

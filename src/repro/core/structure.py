@@ -292,10 +292,7 @@ def _resolve_indirect_calls(summaries, call_graph, candidates, min_score):
                     callee=callee_name, score=score,
                 )
         if best is not None:
-            call_graph.add_indirect_edge(
-                caller_name, best.callee, callsite, best.score
-            )
-            callsite.target_name = best.callee
+            call_graph.add_indirect_edge(caller_name, best.callee, callsite)
             info.target = best.callee
             resolutions.append(best)
     return resolutions

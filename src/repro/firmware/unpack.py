@@ -257,12 +257,15 @@ class ExtractionTree:
     def walk(self):
         """Yield ``(path, node)`` depth-first; paths are '/'-joined
         labels and unique within the tree."""
-        def visit(node, prefix):
-            path = "%s/%s" % (prefix, node.label) if prefix else node.label
+        stack = [(self.root, self.root.label)]
+        while stack:
+            node, path = stack.pop()
             yield path, node
-            for child in node.children:
-                yield from visit(child, path)
-        yield from visit(self.root, "")
+            stack.extend(
+                (child, "%s/%s" % (path, child.label) if path
+                 else child.label)
+                for child in reversed(node.children)
+            )
 
     def nodes(self):
         return [node for _path, node in self.walk()]

@@ -34,8 +34,7 @@ addresses, binaries, and images.
 import hashlib
 from dataclasses import dataclass
 
-import networkx as nx
-
+from repro.cfg.callgraph import condense
 from repro.ir.expr import ITE, Binop, Const, Get, Load, RdTmp, Unop
 from repro.ir.stmt import Exit, IMark, Put, Store, WrTmp
 
@@ -241,29 +240,28 @@ def fingerprint_functions(binary, functions, call_graph):
     # already appear as ``f:<name>`` tokens in the caller's local hash
     # (their behaviour is the name-keyed libc model), so the closure
     # graph spans analysed functions only.
-    graph = nx.DiGraph()
-    graph.add_nodes_from(locals_)
-    for name in locals_:
-        for callee in call_graph.callees(name):
-            if callee in locals_:
-                graph.add_edge(name, callee)
-    condensed = nx.condensation(graph)
-    scc_closure = {}
-    sccs = {}
-    reach = {}
-    for scc_id in reversed(list(nx.topological_sort(condensed))):
-        members = sccs[scc_id] = frozenset(
-            condensed.nodes[scc_id]["members"]
-        )
+    adjacency = {
+        name: [c for c in call_graph.callees(name) if c in locals_]
+        for name in locals_
+    }
+    scc_of = {}
+    scc_closure = []
+    sccs = []
+    reach = []
+    for scc_id, members in enumerate(condense(adjacency)):
+        members = frozenset(members)
+        for member in members:
+            scc_of[member] = scc_id
+        successors = {
+            scc_of[callee] for member in members
+            for callee in adjacency[member]
+        }
+        successors.discard(scc_id)
         member_part = "|".join(sorted(locals_[m] for m in members))
-        callee_part = "|".join(sorted(
-            scc_closure[s] for s in condensed.successors(scc_id)
-        ))
-        scc_closure[scc_id] = _digest(member_part + "#" + callee_part)
-        reach[scc_id] = members.union(
-            *(reach[s] for s in condensed.successors(scc_id))
-        )
-    scc_of = condensed.graph["mapping"]
+        callee_part = "|".join(sorted(scc_closure[s] for s in successors))
+        scc_closure.append(_digest(member_part + "#" + callee_part))
+        sccs.append(members)
+        reach.append(members.union(*(reach[s] for s in successors)))
 
     out = {}
     for name, local in locals_.items():

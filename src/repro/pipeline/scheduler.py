@@ -61,6 +61,7 @@ from repro.pipeline.cache import (
 from repro.pipeline.shards import AUTO_SHARDS
 from repro.pipeline.telemetry import Telemetry
 from repro.pipeline.workerpool import WorkerPool
+from repro.utils.heap import gc_paused
 
 
 @dataclass
@@ -432,6 +433,7 @@ def _inject_fault(job, attempt):
         raise PipelineError("injected failure in job %r" % job.job_id)
 
 
+@gc_paused
 def execute_job(job, attempt=1, cache_dir=None, use_fleet_index=False):
     """Run one job to completion in *this* process; returns a payload.
 

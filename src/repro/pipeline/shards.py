@@ -42,17 +42,15 @@ two inputs.  ``tests/test_shards.py`` enforces this on the golden
 corpus for shard counts 1, 2 and auto.
 """
 
-import contextlib
-import gc
 import os
 import pickle
 import time
 from dataclasses import dataclass, replace
 
-import networkx as nx
 import numpy as np
 
 from repro import profiling
+from repro.cfg.callgraph import condense
 from repro.errors import PipelineError
 from repro.pipeline.cache import _atomic_write
 
@@ -207,25 +205,20 @@ def plan_shards(costs, edges, shard_count, min_shard_cost=MIN_SHARD_COST):
     times can substitute them).  Components (strongly-connected
     subgraphs of the direct call graph — the unit
     :mod:`repro.increment.fingerprint` already hashes closures over)
-    are walked in topological order and greedily assigned to the
+    are walked callees-first and greedily assigned to the
     least-loaded shard, so mutually-recursive clusters never split and
     the balance bound is the classic list-scheduling 2-approximation.
     Deterministic: nodes, edges, components and ties all resolve in
     sorted order.
     """
     names = sorted(costs)
-    graph = nx.DiGraph()
-    graph.add_nodes_from(names)
+    adjacency = {name: [] for name in names}
     edge_count = 0
     for caller, callee in sorted(edges):
         if caller in costs and callee in costs and caller != callee:
-            graph.add_edge(caller, callee)
+            adjacency[caller].append(callee)
             edge_count += 1
-    condensed = nx.condensation(graph)
-    components = [
-        tuple(sorted(condensed.nodes[scc]["members"]))
-        for scc in nx.topological_sort(condensed)
-    ]
+    components = [tuple(sorted(scc)) for scc in condense(adjacency)]
     total = float(sum(costs.values()))
     effective = max(int(shard_count), 1)
     if min_shard_cost > 0:
@@ -294,31 +287,6 @@ def execute_phase(job, attempt, options):
     raise PipelineError("unknown shard phase %r" % job.shard_phase)
 
 
-@contextlib.contextmanager
-def _gc_paused():
-    """Suspend the cyclic GC over an allocation-heavy region.
-
-    Unpickling a shard spill and the interprocedural enrichment both
-    allocate millions of small, mostly-acyclic expression nodes; the
-    generational collector's scans over them are pure overhead.  One
-    explicit collection on exit reclaims whatever cycles did form.
-
-    Inside a pool worker this is a no-op: the worker loop already has
-    gc disabled for the whole job and runs the catch-up collection
-    after posting the result (see ``_pool_worker_main``), so the
-    ``was_enabled`` guard keeps the collection off the critical path
-    there while direct callers (tests, one-shot runs) still get it.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-            gc.collect()
-
-
 def _load_spill(job, options):
     """Reload the plan's spilled ELF; returns (binary, config, cache)."""
     from repro.loader.binary import load_elf
@@ -370,8 +338,7 @@ def _execute_plan(job, attempt, options):
                     # balance than the scout.
                     edges = sorted(
                         (caller, callee)
-                        for caller, callee
-                        in detector.call_graph.graph.edges()
+                        for caller, callee in detector.call_graph.edges()
                         if caller in costs and callee in costs
                     )
                 else:
@@ -421,7 +388,7 @@ def _execute_shard(job, options):
 
     sp = job.shard_payload
     baseline = profiling.PROFILER.snapshot()
-    with measure() as usage, _gc_paused():
+    with measure() as usage:
         binary, config, cache = _load_spill(job, options)
         shard_config = replace(
             config, function_filter=NameFilter(job.shard_names)
@@ -513,7 +480,7 @@ def _execute_merge(job, options):
 
     sp = job.shard_payload
     baseline = profiling.PROFILER.snapshot()
-    with measure() as usage, _gc_paused():
+    with measure() as usage:
         binary, config, cache = _load_spill(job, options)
         shard_outs = []
         for path in sp["shard_spills"]:

@@ -45,7 +45,6 @@ The ``fork`` start method is preferred for the same reason as before:
 workers inherit loaded modules and the parent's hash seed.
 """
 
-import gc
 import itertools
 import multiprocessing
 import os
@@ -203,23 +202,10 @@ def _pool_worker_main(conn, rlimits=None, heartbeat=0.0,
             break                    # parent died or closed us: exit
         if message is _STOP:
             break
-        collect_after_send = False
         if isinstance(message, tuple) and isinstance(message[0], str):
             payload = _control_reply(message, rlimits_applied)
         else:
             job, attempt, options = message
-            # Pool gc policy: the cyclic collector is off for the whole
-            # job body and the catch-up collection runs *after* the
-            # result is posted.  Analysis allocates millions of mostly
-            # acyclic expression nodes, so generational scans during
-            # the job are pure overhead — and the one real collection
-            # belongs in the worker's idle gap, not on the critical
-            # path between "analysis done" and "parent has the result".
-            # Reference counting still frees acyclic garbage promptly,
-            # so the RLIMIT_AS governor semantics are unchanged.
-            collect_after_send = gc.isenabled()
-            if collect_after_send:
-                gc.disable()
             try:
                 with beat:
                     payload = execute_job(job, attempt=attempt, **options)
@@ -252,9 +238,6 @@ def _pool_worker_main(conn, rlimits=None, heartbeat=0.0,
                 conn.send(payload)
         except (BrokenPipeError, OSError):
             break
-        if collect_after_send:
-            gc.enable()
-            gc.collect()
     beat.stop()
     conn.close()
 

@@ -205,81 +205,90 @@ class SymbolicEngine:
                 )
             raise SymExecError("cannot evaluate %r" % (expr,))
 
-        for stmt in irsb.stmts:
-            if isinstance(stmt, IMark):
-                site = stmt.addr
-                continue
-            if isinstance(stmt, WrTmp):
-                tmps[stmt.tmp] = eval_expr(stmt.expr)
-            elif isinstance(stmt, Put):
-                value = eval_expr(stmt.expr)
-                state.set_reg(stmt.reg, value)
-                if self.track_register_defs:
-                    summary.register_defs.append((stmt.reg, site, value))
-            elif isinstance(stmt, Store):
-                addr = eval_expr(stmt.addr)
-                value = eval_expr(stmt.data)
-                state.memory.write(addr, value, stmt.size)
-                pair = DefPair(dest=mk_deref(addr, stmt.size), value=value,
-                               site=site)
-                if pair not in defs_seen:
-                    defs_seen.add(pair)
-                    summary.def_pairs.append(pair)
-                if in_loop:
-                    summary.loop_stores.append((site, pair.dest, value))
-            elif isinstance(stmt, Exit):
-                guard = eval_expr(stmt.guard)
-                if isinstance(guard, SymConst):
-                    if guard.value:
-                        # Unconditionally taken.
-                        if stmt.target in function.blocks:
-                            return [(stmt.target, state)]
-                        return []
+        # eval_expr recurses through its own closure cell; emptying the
+        # cell when the block ends breaks that cycle, so the block's
+        # state is freed by reference counting, not by the collector.
+        try:
+            for stmt in irsb.stmts:
+                if isinstance(stmt, IMark):
+                    site = stmt.addr
                     continue
-                if stmt.target in function.blocks:
-                    forked = state.fork()
-                    taken = Constraint(expr=guard, taken=True, site=site)
-                    forked.constraints.append(taken)
+                if isinstance(stmt, WrTmp):
+                    tmps[stmt.tmp] = eval_expr(stmt.expr)
+                elif isinstance(stmt, Put):
+                    value = eval_expr(stmt.expr)
+                    state.set_reg(stmt.reg, value)
+                    if self.track_register_defs:
+                        summary.register_defs.append((stmt.reg, site, value))
+                elif isinstance(stmt, Store):
+                    addr = eval_expr(stmt.addr)
+                    value = eval_expr(stmt.data)
+                    state.memory.write(addr, value, stmt.size)
+                    pair = DefPair(dest=mk_deref(addr, stmt.size), value=value,
+                                   site=site)
+                    if pair not in defs_seen:
+                        defs_seen.add(pair)
+                        summary.def_pairs.append(pair)
+                    if in_loop:
+                        summary.loop_stores.append((site, pair.dest, value))
+                elif isinstance(stmt, Exit):
+                    guard = eval_expr(stmt.guard)
+                    if isinstance(guard, SymConst):
+                        if guard.value:
+                            # Unconditionally taken.
+                            if stmt.target in function.blocks:
+                                return [(stmt.target, state)]
+                            return []
+                        continue
+                    if stmt.target in function.blocks:
+                        forked = state.fork()
+                        taken = Constraint(expr=guard, taken=True, site=site)
+                        forked.constraints.append(taken)
+                        self._record_constraint(
+                            taken, summary, constraints_seen
+                        )
+                        successors.append((stmt.target, forked))
+                    fallthrough = Constraint(expr=guard, taken=False,
+                                             site=site)
+                    state.constraints.append(fallthrough)
                     self._record_constraint(
-                        taken, summary, constraints_seen
+                        fallthrough, summary, constraints_seen
                     )
-                    successors.append((stmt.target, forked))
-                fallthrough = Constraint(expr=guard, taken=False, site=site)
-                state.constraints.append(fallthrough)
-                self._record_constraint(fallthrough, summary, constraints_seen)
-            else:
-                raise SymExecError("unhandled statement %r" % (stmt,))
+                else:
+                    raise SymExecError("unhandled statement %r" % (stmt,))
 
-        # Block-ending transfer.
-        if irsb.jumpkind == JumpKind.RET:
-            summary.ret_values.append(
-                state.get_reg(self.cc.ret_reg, SymConst(0))
-            )
-            return successors
-        if block.call is not None:
-            # Regular calls lift as Ijk_Call; direct tail calls lift as
-            # plain jumps but carry a CallSite from CFG recovery.
-            self._summarize_call(block, irsb, state, summary, eval_expr)
-            if block.successors:
-                successors.insert(0, (block.successors[0], state))
-            else:
-                # Tail call: the callee's return value is ours.
-                summary.ret_values.append(SymRet(block.call.addr))
-            return successors
+            # Block-ending transfer.
+            if irsb.jumpkind == JumpKind.RET:
+                summary.ret_values.append(
+                    state.get_reg(self.cc.ret_reg, SymConst(0))
+                )
+                return successors
+            if block.call is not None:
+                # Regular calls lift as Ijk_Call; direct tail calls lift as
+                # plain jumps but carry a CallSite from CFG recovery.
+                self._summarize_call(block, irsb, state, summary, eval_expr)
+                if block.successors:
+                    successors.insert(0, (block.successors[0], state))
+                else:
+                    # Tail call: the callee's return value is ours.
+                    summary.ret_values.append(SymRet(block.call.addr))
+                return successors
 
-        next_value = eval_expr(irsb.next_expr)
-        if isinstance(next_value, SymConst) and (
-            next_value.value in function.blocks
-        ):
-            successors.insert(0, (next_value.value, state))
-        elif block.successors:
-            remaining = [
-                s for s in block.successors
-                if all(s != addr for addr, _ in successors)
-            ]
-            if remaining:
-                successors.insert(0, (remaining[0], state))
-        return successors
+            next_value = eval_expr(irsb.next_expr)
+            if isinstance(next_value, SymConst) and (
+                next_value.value in function.blocks
+            ):
+                successors.insert(0, (next_value.value, state))
+            elif block.successors:
+                remaining = [
+                    s for s in block.successors
+                    if all(s != addr for addr, _ in successors)
+                ]
+                if remaining:
+                    successors.insert(0, (remaining[0], state))
+            return successors
+        finally:
+            del eval_expr
 
     def _record_constraint(self, constraint, summary, seen):
         key = (constraint.expr, constraint.taken)

@@ -589,37 +589,37 @@ def substitute(expr, mapping):
     no mapping key are returned as-is (identity), making the common
     no-op case a set-intersection check.
     """
-    if not mapping or node_set(expr).isdisjoint(mapping):
+    if not mapping:
         return expr
+    return _rewrite(expr, mapping)
 
-    def rewrite(node):
-        if node_set(node).isdisjoint(mapping):
-            return node
-        if isinstance(node, SymDeref):
-            new = SymDeref(rewrite(node.addr), node.size)
-        elif isinstance(node, SymLin):
-            terms = {}
-            const = node.const
-            for atom, coef in node.terms:
-                new_atom = rewrite(atom)
-                if new_atom is atom:
-                    terms[atom] = terms.get(atom, 0) + coef
-                    continue
-                # A replaced atom may itself be linear or constant:
-                # fold it in one accumulation pass instead of chaining
-                # mk_add over intermediate tuples.
-                sub_terms, sub_const = _to_linear(new_atom)
-                for sub_atom, sub_coef in sub_terms.items():
-                    terms[sub_atom] = terms.get(sub_atom, 0) + coef * sub_coef
-                const += coef * sub_const
-            new = _from_linear(terms, const)
-        elif isinstance(node, SymOp):
-            new = SymOp(node.op, tuple(rewrite(a) for a in node.args))
-        else:
-            new = node
-        return mapping.get(new, new)
 
-    return rewrite(expr)
+def _rewrite(node, mapping):
+    if node_set(node).isdisjoint(mapping):
+        return node
+    if isinstance(node, SymDeref):
+        new = SymDeref(_rewrite(node.addr, mapping), node.size)
+    elif isinstance(node, SymLin):
+        terms = {}
+        const = node.const
+        for atom, coef in node.terms:
+            new_atom = _rewrite(atom, mapping)
+            if new_atom is atom:
+                terms[atom] = terms.get(atom, 0) + coef
+                continue
+            # A replaced atom may itself be linear or constant: fold it
+            # in one accumulation pass instead of chaining mk_add over
+            # intermediate tuples.
+            sub_terms, sub_const = _to_linear(new_atom)
+            for sub_atom, sub_coef in sub_terms.items():
+                terms[sub_atom] = terms.get(sub_atom, 0) + coef * sub_coef
+            const += coef * sub_const
+        new = _from_linear(terms, const)
+    elif isinstance(node, SymOp):
+        new = SymOp(node.op, tuple(_rewrite(a, mapping) for a in node.args))
+    else:
+        new = node
+    return mapping.get(new, new)
 
 
 def contains(expr, needle):

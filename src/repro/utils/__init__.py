@@ -1,4 +1,5 @@
-"""Shared low-level helpers: bit manipulation and byte packing."""
+"""Shared low-level helpers: bit manipulation and byte packing (the
+analysis heap's collector pause lives in :mod:`repro.utils.heap`)."""
 
 from repro.utils.bits import (
     align_up,

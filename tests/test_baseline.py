@@ -38,8 +38,8 @@ def test_baseline_tracks_register_definitions(prepared):
     )
     graph = baseline.build()
     assert baseline.stats.definitions > 0
-    assert graph.number_of_nodes() > 0
-    assert baseline.stats.edges == graph.number_of_edges()
+    assert len(graph) > 0
+    assert baseline.stats.edges == sum(len(uses) for uses in graph.values())
 
 
 def test_baseline_respects_context_budget(prepared):

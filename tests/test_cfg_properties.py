@@ -1,10 +1,12 @@
-"""Property tests for dominators and loops against networkx oracles."""
+"""Property tests for dominators, loops and call-graph condensation
+against networkx oracles."""
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cfg.callgraph import condense
 from repro.cfg.dominators import compute_dominators, immediate_dominators
 from repro.cfg.loops import natural_loops
 from repro.cfg.model import BasicBlock, Function
@@ -100,3 +102,42 @@ def test_nested_loops_share_outer_body():
     assert headers == {1}
     (loop,) = loops
     assert {1, 2, 3} <= loop.body
+
+
+def _adjacency(n_nodes, edges):
+    adjacency = {node: [] for node in range(n_nodes)}
+    for src, dst in edges:
+        adjacency[src].append(dst)
+    return adjacency
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs)
+def test_condensation_matches_networkx(graph_spec):
+    n_nodes, edges = graph_spec
+    adjacency = _adjacency(n_nodes, edges)
+    sccs = condense(adjacency)
+
+    g = nx.DiGraph()
+    g.add_nodes_from(range(n_nodes))
+    g.add_edges_from(edges)
+    theirs = {frozenset(c) for c in nx.strongly_connected_components(g)}
+    assert {frozenset(scc) for scc in sccs} == theirs
+    assert sorted(node for scc in sccs for node in scc) == list(
+        range(n_nodes)
+    )
+
+    # Callees first: every edge points at the same or an earlier SCC.
+    position = {node: i for i, scc in enumerate(sccs) for node in scc}
+    for src, dst in edges:
+        assert position[dst] <= position[src], (src, dst)
+
+    assert condense(_adjacency(n_nodes, edges)) == sccs
+
+
+def test_condensation_of_a_deep_chain():
+    depth = 5000
+    adjacency = {node: [node + 1] for node in range(depth)}
+    adjacency[depth] = [0]
+    (scc,) = condense(adjacency)
+    assert sorted(scc) == list(range(depth + 1))

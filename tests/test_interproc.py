@@ -4,6 +4,7 @@ import pytest
 
 from repro.cfg import CFGBuilder, build_call_graph
 from repro.cfg.callgraph import CallGraph
+from repro.cfg.model import Function
 from repro.core.interproc import (
     MAX_VARIANTS_PER_CALLSITE,
     InterproceduralAnalysis,
@@ -197,8 +198,8 @@ def _synthetic_pair(caller_callsites):
     caller = FunctionSummary(name="caller", addr=0x1000,
                              callsites=list(caller_callsites))
     call_graph = CallGraph()
-    call_graph.graph.add_node("callee")
-    call_graph.graph.add_node("caller")
+    call_graph.add_function(Function(name="callee", addr=0x2000, size=4))
+    call_graph.add_function(Function(name="caller", addr=0x1000, size=4))
     call_graph.add_edge("caller", "callee")
     analysis = InterproceduralAnalysis(
         {"callee": callee, "caller": caller}, call_graph
