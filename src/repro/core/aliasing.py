@@ -17,15 +17,12 @@ from repro.symexec.state import DefPair
 from repro.symexec.value import (
     SymDeref,
     SymHeap,
-    SymRet,
-    SymVar,
     _sort_key,
     base_offset,
     mk_add,
     mk_sub,
     node_set,
     substitute,
-    walk,
     SymConst,
 )
 
@@ -37,20 +34,6 @@ class AliasEntry:
     alias: object   # a SymDeref: the stored-to location
     base: object    # the pointer atom stored
     offset: int
-
-
-def _pointer_atoms(expr):
-    """Pointer-like atoms appearing inside ``expr`` (deref bases)."""
-    atoms = set()
-    for node in walk(expr):
-        if isinstance(node, SymDeref):
-            view = base_offset(node.addr)
-            if view is None:
-                continue
-            base, _ = view
-            if isinstance(base, (SymVar, SymRet, SymDeref, SymHeap)):
-                atoms.add(base)
-    return atoms
 
 
 def find_aliases(def_pairs, types):

@@ -11,7 +11,6 @@ source — or no definitions apply.
 
 from dataclasses import dataclass, field
 
-from repro.core.types import root_pointer
 from repro.symexec.value import (
     SymDeref,
     SymTaint,
@@ -153,11 +152,6 @@ class PathFinder:
                                  callsite=_object_site(self, pointer))
                     ]
         return []
-
-
-def root_pointer_of(pointer):
-    root = root_pointer(pointer)
-    return root if root is not None else pointer
 
 
 def _object_source(finder, pointer):

@@ -67,10 +67,6 @@ class StructLayout:
             ))
         return self._signature
 
-    @property
-    def field_count(self):
-        return sum(len(fields) for fields in self.fields.values())
-
     def describe(self):
         return {
             pretty(base): sorted(fields)

@@ -86,9 +86,6 @@ class Memory:
             out.append(byte)
         return bytes(out)
 
-    def is_mapped(self, addr):
-        return (addr >> _PAGE_SHIFT) in self._pages
-
     def snapshot(self):
         """Deep-copy the mapped pages (for state comparison in tests)."""
         return {index: bytes(page) for index, page in self._pages.items()}

@@ -66,9 +66,6 @@ class EvalContext:
             self._reports[key] = self.detector(key).run()
         return self._reports[key]
 
-    def all_reports(self):
-        return {key: self.report(key) for key in PROFILE_ORDER}
-
 
 _SHARED = None
 

@@ -193,19 +193,6 @@ class _Canonicalizer:
         return tokens, self.literals
 
 
-def canonical_tokens(binary, function, func_by_addr=None, data_syms=None):
-    """Expose the token stream (tests and debugging)."""
-    if func_by_addr is None:
-        func_by_addr = {
-            s.addr: s.name for s in binary.functions.values()
-        }
-    if data_syms is None:
-        data_syms = {
-            addr: name for name, addr in binary.data_symbols.items()
-        }
-    return _Canonicalizer(binary, function, func_by_addr, data_syms).render()
-
-
 def fingerprint_functions(binary, functions, call_graph):
     """Fingerprint every analysed function; name -> FunctionFingerprint.
 

@@ -108,22 +108,12 @@ class LoadedBinary:
         segment = self.segment_for(addr)
         return segment is not None and segment[2]
 
-    def function_at(self, addr):
-        for symbol in self.functions.values():
-            if symbol.addr == addr:
-                return symbol
-        return None
-
     def import_name(self, addr):
         return self.imports.get(addr)
 
     @property
     def local_functions(self):
         return [f for f in self.functions.values() if not f.is_import]
-
-    def function_bytes(self, symbol):
-        """The code bytes of a function symbol (by its st_size)."""
-        return self.read_bytes(symbol.addr, symbol.size)
 
 
 def load_elf(data, name=""):

@@ -36,7 +36,6 @@ that die with the parent process.
 """
 
 import os
-import pickle
 import shutil
 import tempfile
 import time
@@ -296,22 +295,18 @@ class JobCache:
         self.reports.put(self.sha, self.report_fp, report_dict,
                          fingerprints)
 
-    def seed(self, binary, fingerprints_blob):
+    def seed(self, binary, fingerprints, flows):
         """Adopt the plan's full-graph closure fingerprints and
         dataflow keys (shards)."""
-        if self.incremental and fingerprints_blob:
-            self.summaries.seed_fingerprints(
-                binary, *pickle.loads(fingerprints_blob)
-            )
+        if self.incremental:
+            self.summaries.seed_fingerprints(binary, fingerprints, flows)
 
-    def fingerprints_blob(self):
-        """The closure fingerprints and dataflow keys, pickled for
-        shard tasks, or ``None``."""
+    def seed_keys(self):
+        """The ``(fingerprints, flows)`` a shard task's :meth:`seed`
+        takes, or ``(None, None)``."""
         if not self.incremental:
-            return None
-        return pickle.dumps(
-            (self.summaries.fingerprints, self.summaries.flows), protocol=4
-        )
+            return None, None
+        return self.summaries.fingerprints, self.summaries.flows
 
     def export_blobs(self, addrs):
         return self.bundle.export_blobs(addrs) if self.bundle else {}
@@ -431,6 +426,29 @@ def _inject_fault(job, attempt):
         time.sleep(3600)
     if job.fault == "error":
         raise PipelineError("injected failure in job %r" % job.job_id)
+
+
+def import_job_modules():
+    """Import the modules running a job imports on first use.
+
+    Pool workers fork from the process that calls this and inherit
+    what it imported; a worker forked before it spends its first job
+    importing the analysis, about 40 ms on a 2-CPU host where a small
+    image's whole job takes 5 ms.
+    """
+    from repro.alias import DEFAULT_ENGINE, get_engine
+    from repro.arch import ARCH_ARM, ARCH_MIPS, get_arch
+    from repro.core import DTaint  # noqa: F401
+    from repro.eval.resources import measure  # noqa: F401
+    from repro.firmware.binwalk import extract_tree  # noqa: F401
+    from repro.firmware.unpack import registered_parsers
+    from repro.loader.binary import load_elf  # noqa: F401
+
+    get_engine(DEFAULT_ENGINE)
+    registered_parsers()
+    for name in (ARCH_ARM, ARCH_MIPS):
+        get_arch(name).disassembler()
+        get_arch(name).lifter()
 
 
 @gc_paused
@@ -885,7 +903,7 @@ class FleetScheduler:
             "spill": payload["spill"],
             "spill_dir": self._ensure_spill_dir(),
             "bin_name": payload.get("bin_name", ""),
-            "fingerprints_blob": payload.get("fingerprints_blob"),
+            "seed_keys": payload["seed_keys"],
         }
         shard_states[jid] = {
             "gen": record.attempt,
@@ -896,12 +914,7 @@ class FleetScheduler:
             "done": {},
             "t0": record.started,
         }
-        plan_info = payload.get("plan_info", {})
-        self.telemetry.emit(
-            "shard_plan", job=jid, shards=len(shards),
-            components=plan_info.get("components", 0),
-            edges=plan_info.get("edges", 0),
-        )
+        self.telemetry.emit("shard_plan", job=jid, shards=len(shards))
         # Front of the queue: finishing a hot image's shards beats
         # starting fresh images, and any idle worker can steal one.
         queue[:0] = [
@@ -921,7 +934,6 @@ class FleetScheduler:
             shard_spills=[out["spill_out"] for out in ordered],
             plan_profile=plan.get("profile"),
             plan_cache=plan.get("cache"),
-            plan_info=plan.get("plan_info", {}),
             build_seconds=plan.get("resources", {}).get(
                 "build_seconds", 0.0
             ),

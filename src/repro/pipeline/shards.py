@@ -13,12 +13,13 @@ A sharded image becomes a three-phase task graph run on the ordinary
 whatever shard task is queued next, across images):
 
 ``plan``
-    One worker loads the image, derives a direct-call edge set (the
-    real call graph in incremental mode — it is already built for
-    fingerprinting — or a vectorised instruction scout otherwise),
-    condenses it into dependency components and groups them into
-    cost-balanced shards.  Trivially small images short-circuit to a
-    plain unsharded run in place.
+    One worker loads the image, probes the caches and packs its
+    functions into cost-balanced shards (largest first, each onto the
+    least-loaded shard).  No call graph is consulted: summaries are
+    context-independent, so any split gives the same findings and
+    grouping callers with callees could only worsen the balance.
+    Trivially small images short-circuit to a plain unsharded run in
+    place.
 ``exec`` (one task per shard)
     Recovers CFGs for its function subset only (summaries never
     depend on *which* other functions were recovered: direct-call
@@ -47,10 +48,7 @@ import pickle
 import time
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from repro import profiling
-from repro.cfg.callgraph import condense
 from repro.errors import PipelineError
 from repro.pipeline.cache import _atomic_write
 
@@ -104,148 +102,30 @@ def skeletonize(function):
 
 
 # ---------------------------------------------------------------------------
-# Direct-call scout: vectorised edge recovery for shard planning.
+# The planner: cost-only longest-processing-time packing.
 
-def scan_direct_call_edges(binary, names):
-    """Approximate direct-call edges ``(caller, callee)`` via numpy.
-
-    One pass over the executable segments decoding only the two
-    call-shaped instruction patterns (ARM ``BL`` with the
-    always-condition, MIPS ``JAL``) as vectorised word operations —
-    milliseconds where CFG recovery takes seconds.  Accuracy only
-    shapes shard *balance* (a missed edge can split a component that
-    interprocedural work later treats as one unit); correctness never
-    depends on it, because summaries are context-independent.
-    """
-    selected = {
-        name: symbol for name, symbol in binary.functions.items()
-        if name in names and not symbol.is_import
-    }
-    if not selected:
-        return []
-    entries = np.array(
-        sorted(symbol.addr for symbol in selected.values()), dtype=np.int64
-    )
-    by_addr = {symbol.addr: name for name, symbol in selected.items()}
-    ends = entries + np.array(
-        [selected[by_addr[int(addr)]].size for addr in entries],
-        dtype=np.int64,
-    )
-    arch = binary.arch.name
-    dtype = ">u4" if binary.arch.is_big_endian else "<u4"
-    edges = set()
-    for vaddr, data, executable in binary.segments:
-        if not executable or len(data) < 4:
-            continue
-        words = np.frombuffer(
-            data[: len(data) // 4 * 4], dtype=dtype
-        ).astype(np.int64)
-        addrs = vaddr + 4 * np.arange(words.shape[0], dtype=np.int64)
-        if arch == "arm":
-            mask = (words >> 24) == 0xEB          # BL, condition AL
-            offsets = words[mask] & 0x00FFFFFF
-            offsets = np.where(
-                offsets & 0x00800000, offsets - 0x01000000, offsets
-            )
-            targets = addrs[mask] + 8 + (offsets << 2)
-            sites = addrs[mask]
-        elif arch == "mips":
-            mask = (words >> 26) == 0x03           # JAL
-            targets = (
-                ((addrs[mask] + 4) & ~np.int64(0x0FFFFFFF))
-                | ((words[mask] & 0x03FFFFFF) << 2)
-            )
-            sites = addrs[mask]
-        else:
-            continue
-        if targets.shape[0] == 0:
-            continue
-        # Exact-match targets to function entries.
-        hit = np.searchsorted(entries, targets)
-        valid = (hit < entries.shape[0]) & (
-            entries[np.minimum(hit, entries.shape[0] - 1)] == targets
-        )
-        # Map each call site to its containing function by extent.
-        owner = np.searchsorted(entries, sites, side="right") - 1
-        valid &= owner >= 0
-        owner = np.maximum(owner, 0)
-        valid &= sites < ends[owner]
-        for site_owner, target in zip(owner[valid], targets[valid]):
-            caller = by_addr[int(entries[site_owner])]
-            callee = by_addr[int(target)]
-            if caller != callee:
-                edges.add((caller, callee))
-    return sorted(edges)
-
-
-# ---------------------------------------------------------------------------
-# The planner: condensation components -> cost-balanced shards.
-
-@dataclass
-class ShardPlan:
-    shards: tuple        # tuple of sorted name tuples
-    costs: tuple         # per-shard cost totals
-    components: int
-    edges: int
-
-    def describe(self):
-        return {
-            "shards": len(self.shards),
-            "components": self.components,
-            "edges": self.edges,
-            "costs": [round(float(c), 1) for c in self.costs],
-        }
-
-
-def plan_shards(costs, edges, shard_count, min_shard_cost=MIN_SHARD_COST):
-    """Group callgraph-condensation components into balanced shards.
+def plan_shards(costs, shard_count):
+    """Pack functions into at most ``shard_count`` cost-balanced shards.
 
     ``costs`` maps function name -> estimated analysis cost (function
-    size in bytes by default; callers with cached per-function phase
-    times can substitute them).  Components (strongly-connected
-    subgraphs of the direct call graph — the unit
-    :mod:`repro.increment.fingerprint` already hashes closures over)
-    are walked callees-first and greedily assigned to the
-    least-loaded shard, so mutually-recursive clusters never split and
-    the balance bound is the classic list-scheduling 2-approximation.
-    Deterministic: nodes, edges, components and ties all resolve in
-    sorted order.
+    size in bytes).  Functions are taken largest first (ties by name)
+    and each goes to the least-loaded shard (lowest index on ties),
+    so the largest shard's load is at most total/k plus the largest
+    single cost.  The shard count is capped by the function count and
+    by ``MIN_SHARD_COST`` per shard.  Returns a tuple of shards, each
+    a sorted tuple of names; the plan depends only on the ``costs``
+    mapping, not on its order.
     """
-    names = sorted(costs)
-    adjacency = {name: [] for name in names}
-    edge_count = 0
-    for caller, callee in sorted(edges):
-        if caller in costs and callee in costs and caller != callee:
-            adjacency[caller].append(callee)
-            edge_count += 1
-    components = [tuple(sorted(scc)) for scc in condense(adjacency)]
-    total = float(sum(costs.values()))
-    effective = max(int(shard_count), 1)
-    if min_shard_cost > 0:
-        effective = min(effective, max(int(total // min_shard_cost), 1))
-    effective = min(effective, max(len(components), 1))
-    if effective <= 1:
-        return ShardPlan(
-            shards=(tuple(names),) if names else (),
-            costs=(total,) if names else (),
-            components=len(components), edges=edge_count,
-        )
-    bins = [[] for _ in range(effective)]
-    loads = [0.0] * effective
-    for members in components:
-        cost = sum(costs[name] for name in members)
-        index = min(range(effective), key=lambda i: (loads[i], i))
-        bins[index].extend(members)
-        loads[index] += cost
-    shards, shard_costs = [], []
-    for index, members in enumerate(bins):
-        if members:
-            shards.append(tuple(sorted(members)))
-            shard_costs.append(loads[index])
-    return ShardPlan(
-        shards=tuple(shards), costs=tuple(shard_costs),
-        components=len(components), edges=edge_count,
-    )
+    total = sum(costs.values())
+    count = max(min(shard_count, len(costs), int(total // MIN_SHARD_COST)),
+                1)
+    bins = [[] for _ in range(count)]
+    loads = [0] * count
+    for name in sorted(costs, key=lambda name: (-costs[name], name)):
+        index = min(range(count), key=lambda i: (loads[i], i))
+        bins[index].append(name)
+        loads[index] += costs[name]
+    return tuple(tuple(sorted(members)) for members in bins if members)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +177,7 @@ def _load_spill(job, options):
         binary = load_elf(handle.read(), name=sp["bin_name"])
     config = job_config(job)
     cache = JobCache(sha=sp["sha256"], config=config, **options)
-    cache.seed(binary, sp.get("fingerprints_blob"))
+    cache.seed(binary, *sp["seed_keys"])
     return binary, config, cache
 
 
@@ -328,23 +208,11 @@ def _execute_plan(job, attempt, options):
         if report_dict is None:
             with profiling.PROFILER.phase("plan"):
                 names, selected = _selected_names(binary, config)
-                costs = {
-                    each: float(max(binary.functions[each].size, 64))
+                shards = plan_shards({
+                    each: max(binary.functions[each].size, 64)
                     for each in names
-                }
-                if detector.call_graph is not None:
-                    # The cache lookup already built the real call
-                    # graph (for fingerprinting): strictly better
-                    # balance than the scout.
-                    edges = sorted(
-                        (caller, callee)
-                        for caller, callee in detector.call_graph.edges()
-                        if caller in costs and callee in costs
-                    )
-                else:
-                    edges = scan_direct_call_edges(binary, set(names))
-                plan = plan_shards(costs, edges, max(job.shards, 1))
-            if len(plan.shards) <= 1:
+                }, job.shards)
+            if len(shards) <= 1:
                 report_dict = detector.run().to_dict()
                 cache.publish(report_dict)
         if report_dict is None:
@@ -370,11 +238,11 @@ def _execute_plan(job, attempt, options):
         "spill": spill,
         "bin_name": name,
         "selected": selected,
-        "shards": [list(shard) for shard in plan.shards],
-        "plan_info": plan.describe(),
+        "shards": [list(shard) for shard in shards],
         # Shards recover partial call graphs, over which closure
-        # fingerprints would be wrong: ship the full-graph ones.
-        "fingerprints_blob": cache.fingerprints_blob(),
+        # fingerprints and dataflow keys would be wrong: ship the
+        # full-graph ones.
+        "seed_keys": cache.seed_keys(),
         "profile": profiling.delta(baseline, profiling.PROFILER.snapshot()),
         "cache": cache.stats,
         "resources": resources,
@@ -547,14 +415,9 @@ def _execute_merge(job, options):
                 os.unlink(path)
             except OSError:
                 pass
-    payload = cache.result(sp["bin_name"], report_dict, resources={
+    return cache.result(sp["bin_name"], report_dict, resources={
         "wall_seconds": usage.wall_seconds,
         "cpu_seconds": usage.cpu_seconds,
         "max_rss_mb": usage.max_rss_mb,
         "build_seconds": sp.get("build_seconds", 0.0),
     })
-    payload["shard_stats"] = {
-        "shards": len(shard_outs),
-        "plan_info": sp.get("plan_info", {}),
-    }
-    return payload

@@ -42,7 +42,9 @@ Within-worker state that persists across jobs is safe by design:
   :func:`~repro.pipeline.scheduler.execute_job`'s ``try/finally``.
 
 The ``fork`` start method is preferred for the same reason as before:
-workers inherit loaded modules and the parent's hash seed.
+workers inherit loaded modules and the parent's hash seed.  A service
+imports the analysis (:func:`~repro.pipeline.scheduler.import_job_modules`)
+and :meth:`WorkerPool.prewarm`-s its slots before it takes work.
 """
 
 import itertools

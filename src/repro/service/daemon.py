@@ -15,8 +15,9 @@ from the durable queue:
 2. **claim per free slot** — the loop claims at most as many pending
    rows as it has free worker slots (priority order), so a worker
    freed by a finished job takes the next row immediately; the warm
-   pool survives between jobs, so steady-state submissions skip
-   process start-up entirely;
+   pool survives between jobs, and :meth:`start` forks every slot
+   after importing what jobs run on, so no submission waits for a
+   process start-up or an import;
 3. **publish per job** — each job that settles is recorded into the
    sqlite store and its queue row moved to ``done``/``failed`` in one
    transaction, while the other slots keep running.
@@ -39,7 +40,11 @@ import time
 from repro import faultinject
 from repro.errors import QueueFull
 from repro.pipeline.results import canonical_digest
-from repro.pipeline.scheduler import FleetJob, FleetScheduler
+from repro.pipeline.scheduler import (
+    FleetJob,
+    FleetScheduler,
+    import_job_modules,
+)
 from repro.pipeline.telemetry import Telemetry
 from repro.service.queue import (
     DEFAULT_CRASH_THRESHOLD,
@@ -217,7 +222,11 @@ class AnalysisDaemon:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self):
-        """Recover stranded jobs and start the dispatcher thread."""
+        """Warm the worker pool, recover stranded jobs and start the
+        dispatcher thread."""
+        # Workers forked after the imports start their first job warm.
+        import_job_modules()
+        self.scheduler.pool.prewarm(self.workers)
         resumed = self.queue.recover()
         if resumed:
             self.telemetry.emit("daemon_resume", requeued=resumed)

@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass, field
 
-from repro.symexec.value import SymDeref, mk_deref
+from repro.symexec.value import mk_deref
 
 
 @dataclass(frozen=True)
@@ -148,6 +148,3 @@ class FunctionSummary:
 
     def defs_of(self, dest):
         return [p for p in self.def_pairs if p.dest == dest]
-
-    def memory_defs(self):
-        return [p for p in self.def_pairs if isinstance(p.dest, SymDeref)]

@@ -65,6 +65,7 @@ from repro.pipeline import (
     execute_job,
     findings_fingerprint,
 )
+from repro.pipeline import shards as shards_mod
 from repro.pipeline.cache import (
     CACHE_FORMAT_VERSION,
     encode_record,
@@ -833,6 +834,43 @@ class TestRecursiveGroup:
         detector, cache, report = scan(True)
         assert cache.flow_hits == 3
         assert dataflow(detector, report) == cold
+
+    @pytest.mark.parametrize("fleet_index", [False, True],
+                             ids=["per_binary", "fleet_index"])
+    def test_split_scc_shards_like_unsharded(self, tmp_path, monkeypatch,
+                                             fleet_index):
+        """The planner may put ping and pong in different shards; the
+        sharded findings still equal the unsharded run's."""
+        data, _ = build_executable("arm", _RECURSIVE_ASM,
+                                   imports=["getenv", "system"])
+        path = tmp_path / "recursive.elf"
+        path.write_bytes(data)
+        job = FleetJob(job_id="rec", kind="elf", path=str(path), shards=3)
+        # Three tiny functions clear three shards only under a lower
+        # floor; workers fork inside the test and inherit it.
+        monkeypatch.setattr(shards_mod, "MIN_SHARD_COST", 64)
+        plan = execute_job(replace(
+            job, shard_phase="plan",
+            shard_payload={"spill_dir": str(tmp_path)},
+        ))
+        homes = {name: index for index, shard in enumerate(plan["shards"])
+                 for name in shard}
+        assert homes["ping"] != homes["pong"]
+        flat = execute_job(replace(job, shards=0))
+        assert flat["report"]["vulnerable_paths"]
+        events = []
+        telemetry = Telemetry()
+        telemetry.add_sink(lambda record: events.append(dict(record)))
+        with FleetScheduler(jobs=1, retries=0, backoff=0.0,
+                            telemetry=telemetry,
+                            cache_dir=str(tmp_path / "cache"),
+                            use_fleet_index=fleet_index) as scheduler:
+            sharded, = scheduler.run([job])
+        assert sharded.status == "ok", sharded.error
+        assert [event["shards"] for event in events
+                if event["event"] == "shard_plan"] == [3]
+        assert findings_fingerprint(sharded.report) == \
+            findings_fingerprint(flat["report"])
 
 
 class TestDelta:

@@ -166,6 +166,45 @@ class TestWorkerPool:
 # ---------------------------------------------------------------------------
 
 
+def test_import_job_modules_leaves_jobs_nothing_to_import(tmp_path):
+    """After ``import_job_modules`` a fresh process runs ARM and MIPS
+    firmware jobs in every container format without importing another
+    program module, so a worker forked after it starts warm."""
+    from repro.corpus.fleet import generate_fleet
+    from repro.corpus.matryoshka import build_image_blob
+
+    paths = []
+    for record in generate_fleet(size=8, seed=1):
+        path = tmp_path / ("%s.bin" % record.image_id)
+        path.write_bytes(build_image_blob(record))
+        paths.append(str(path))
+    code = (
+        "import json, sys\n"
+        "from repro.pipeline.scheduler import (\n"
+        "    FleetJob, execute_job, import_job_modules)\n"
+        "import_job_modules()\n"
+        "before = set(sys.modules)\n"
+        "for path in json.loads(sys.argv[1]):\n"
+        "    payload = execute_job(FleetJob(job_id=path, kind='firmware',\n"
+        "                                   path=path))\n"
+        "    assert payload['status'] == 'ok', payload\n"
+        "print(json.dumps(sorted(name for name in sys.modules\n"
+        "                        if name not in before\n"
+        "                        and name.startswith('repro'))))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    pythonpath = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(paths)],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+    )
+    assert json.loads(done.stdout) == []
+
+
 class TestJobQueue:
     def _queue(self, tmp_path):
         db = ResultsDB(str(tmp_path / "dtaint.sqlite"))
@@ -552,6 +591,17 @@ class TestDaemon:
                 job = daemon.submit(job_spec("elf", path=path))
                 _wait_state(daemon, job["job_id"], "done", timeout=10.0)
                 assert time.monotonic() - started < 10.0
+
+    def test_start_forks_every_slot_before_the_first_job(self, tmp_path,
+                                                          elf_path):
+        """Workers fork at start-up, not while a submission waits."""
+        with AnalysisDaemon(str(tmp_path / "dtaint.sqlite"),
+                            workers=2) as daemon:
+            daemon.start()
+            assert daemon.scheduler.pool.spawned_total == 2
+            job = daemon.submit(job_spec("elf", path=elf_path))
+            _wait_state(daemon, job["job_id"], "done")
+            assert daemon.scheduler.pool.spawned_total == 2
 
     def test_draining_daemon_claims_nothing(self, tmp_path, elf_path):
         db_path = str(tmp_path / "dtaint.sqlite")

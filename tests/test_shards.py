@@ -6,14 +6,15 @@ a findings fingerprint and coverage counters byte-identical to the
 unsharded pipeline, because shards only repartition the
 pre-interprocedural work and the merge reassembles the exact state the
 serial tail would have seen.  Everything else here — planner
-determinism, component integrity, the vectorised call scout,
-summary-blob shipping, the unsharded fallback — exists in service of
-that property.
+determinism and balance, summary-blob shipping, the unsharded
+fallback — exists in service of that property.
 """
 
 import os
 import pickle
 import shutil
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,13 +23,8 @@ from hypothesis import strategies as st
 from repro.corpus.profiles import analyzed_module_prefixes, build_firmware
 from repro.firmware.image import pack_trx
 from repro.firmware.simplefs import SimpleFS
-from repro.loader.link import build_executable
 from repro.pipeline import FleetJob, FleetScheduler, findings_fingerprint
-from repro.pipeline.shards import (
-    AUTO_SHARDS,
-    plan_shards,
-    scan_direct_call_edges,
-)
+from repro.pipeline.shards import AUTO_SHARDS, MIN_SHARD_COST, plan_shards
 from repro.pipeline.telemetry import Telemetry
 from repro.service import fleet_job_from_spec, job_spec
 
@@ -82,108 +78,77 @@ def _cache_files(root):
 
 
 # ---------------------------------------------------------------------------
-# Planner: determinism, component integrity, balance.
-
-
-def _component_edges(names, edges):
-    graph = {name: set() for name in names}
-    for caller, callee in edges:
-        if caller in graph and callee in graph:
-            graph[caller].add(callee)
-            graph[callee].add(caller)      # undirected reach suffices
-    return graph
+# Planner: an exact, order-independent, balanced partition.
 
 
 class TestShardPlanner:
     def test_partition_and_determinism(self):
-        costs = {"f%02d" % i: 100 + i for i in range(20)}
-        edges = [("f00", "f01"), ("f01", "f00"), ("f02", "f03")]
-        plans = [plan_shards(costs, edges, 4, min_shard_cost=0)
-                 for _ in range(3)]
+        costs = {"f%02d" % i: MIN_SHARD_COST + i for i in range(20)}
+        plans = [plan_shards(costs, 4) for _ in range(3)]
         first = plans[0]
-        assert all(plan.shards == first.shards for plan in plans)
-        flat = [name for shard in first.shards for name in shard]
+        assert all(plan == first for plan in plans)
+        flat = [name for shard in first for name in shard]
         assert sorted(flat) == sorted(costs)        # exact partition
-        assert len(first.shards) == 4
-
-    def test_mutual_recursion_never_splits(self):
-        costs = {name: 1000 for name in "abcdef"}
-        # a<->b and c<->d are SCCs; they must land whole.
-        edges = [("a", "b"), ("b", "a"), ("c", "d"), ("d", "c")]
-        plan = plan_shards(costs, edges, 6, min_shard_cost=0)
-        homes = {name: index for index, shard in enumerate(plan.shards)
-                 for name in shard}
-        assert homes["a"] == homes["b"]
-        assert homes["c"] == homes["d"]
+        assert len(first) == 4
 
     def test_min_cost_collapses_small_images(self):
         costs = {"a": 10, "b": 10}
-        plan = plan_shards(costs, [], 8, min_shard_cost=8192)
-        assert len(plan.shards) == 1
+        assert plan_shards(costs, 8) == (("a", "b"),)
 
     def test_shards_capped_by_components(self):
-        costs = {name: 50 for name in "abc"}
-        plan = plan_shards(costs, [], 16, min_shard_cost=0)
-        assert len(plan.shards) <= 3
+        # Each function is its own unit of placement, so the shard
+        # count never exceeds the function count.
+        costs = {name: MIN_SHARD_COST for name in "abc"}
+        assert plan_shards(costs, 16) == (("a",), ("b",), ("c",))
 
     @given(
         costs=st.dictionaries(
             st.text(alphabet="abcdefgh", min_size=1, max_size=4),
-            st.integers(min_value=1, max_value=5000),
+            st.integers(min_value=1, max_value=20000),
             min_size=1, max_size=16,
         ),
         shard_count=st.integers(min_value=1, max_value=8),
         seed=st.randoms(use_true_random=False),
     )
-    @settings(max_examples=50, deadline=None,
+    @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_plan_is_a_deterministic_partition(self, costs, shard_count,
                                                seed):
-        names = sorted(costs)
-        edges = []
-        for _ in range(min(len(names) * 2, 20)):
-            edges.append((seed.choice(names), seed.choice(names)))
-        plan_a = plan_shards(costs, edges, shard_count, min_shard_cost=0)
-        plan_b = plan_shards(dict(reversed(list(costs.items()))),
-                             list(reversed(edges)), shard_count,
-                             min_shard_cost=0)
-        assert plan_a.shards == plan_b.shards     # input order irrelevant
-        flat = [name for shard in plan_a.shards for name in shard]
-        assert sorted(flat) == names              # partition: no loss/dup
-        assert len(plan_a.shards) <= shard_count
-        assert abs(sum(plan_a.costs) - sum(costs.values())) < 1e-6
+        plan = plan_shards(costs, shard_count)
+        shuffled = list(costs.items())
+        seed.shuffle(shuffled)
+        assert plan_shards(dict(shuffled), shard_count) == plan
+        flat = [name for shard in plan for name in shard]
+        assert sorted(flat) == sorted(costs)      # partition: no loss/dup
+        assert all(shard == tuple(sorted(shard)) for shard in plan)
+        assert all(plan)                          # no empty shard
+        total = sum(costs.values())
+        assert len(plan) == max(
+            min(shard_count, len(costs), total // MIN_SHARD_COST), 1
+        )
+        loads = [sum(costs[name] for name in shard) for shard in plan]
+        assert max(loads) <= total / len(plan) + max(costs.values())
 
 
 # ---------------------------------------------------------------------------
-# Direct-call scout.
+# The program's imports: the standard library only.
 
 
-class TestCallScout:
-    def test_recovers_direct_arm_edges(self):
-        source = (
-            ".globl main\nmain:\n    push {lr}\n    bl helper\n"
-            "    pop {pc}\n"
-            ".globl helper\nhelper:\n    push {lr}\n    bl leaf\n"
-            "    pop {pc}\n"
-            ".globl leaf\nleaf:\n    bx lr\n"
-        )
-        elf_bytes, _ = build_executable("arm", source)
-        from repro.loader.binary import load_elf
-
-        binary = load_elf(elf_bytes)
-        edges = scan_direct_call_edges(
-            binary, {"main", "helper", "leaf"}
-        )
-        assert ("main", "helper") in edges
-        assert ("helper", "leaf") in edges
-        assert ("main", "leaf") not in edges
-
-    def test_empty_selection(self):
-        source = ".globl main\nmain:\n    bx lr\n"
-        elf_bytes, _ = build_executable("arm", source)
-        from repro.loader.binary import load_elf
-
-        assert scan_direct_call_edges(load_elf(elf_bytes), set()) == []
+def test_program_imports_without_numpy():
+    """The CLI and every module perfbench preloads import on the
+    standard library alone: nothing pulls in numpy."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = (
+        "import importlib, sys\n"
+        "from perfbench.run import PRELOAD\n"
+        "import repro.cli\n"
+        "for name in PRELOAD:\n"
+        "    importlib.import_module(name)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], cwd=repo,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
