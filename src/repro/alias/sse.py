@@ -35,41 +35,9 @@ comparable: they differ only in which stores they believe.
 
 import bisect
 
-from repro.alias.base import AliasResult
-from repro.core.aliasing import AliasEntry, apply_entries
+from repro.alias.base import AliasResult, apply_entries, candidate_stores
 from repro.profiling import PROFILER
-from repro.symexec.value import SymDeref, SymHeap, base_offset
-
-
-def _candidate_stores(def_pairs, types):
-    """Formula-1 stores with their defining pairs kept.
-
-    The same filter as ``find_aliases`` (pointer-valued stores through
-    a symbolic destination), but each entry stays attached to the
-    definition pair that produced it so a dead store can be pruned.
-    """
-    candidates = []
-    for pair in def_pairs:
-        if not isinstance(pair.dest, SymDeref):
-            continue
-        value = pair.value
-        view = base_offset(value)
-        if view is None:
-            continue
-        base, offset = view
-        if base is None:
-            continue
-        is_pointer = (
-            types.is_pointer(base)
-            or types.is_pointer(value)
-            or isinstance(base, (SymHeap,))
-        )
-        if not is_pointer:
-            continue
-        candidates.append(
-            (pair, AliasEntry(alias=pair.dest, base=base, offset=offset))
-        )
-    return candidates
+from repro.symexec.value import SymDeref
 
 
 def _constraint_between(con_sites, lo, hi):
@@ -90,7 +58,7 @@ def _sparse_resolve(summary, types):
     loop_dests = {dest for (_site, dest, _value) in origin.loop_stores}
     con_sites = sorted(c.site for c in origin.constraints)
 
-    candidates = _candidate_stores(def_pairs, types)
+    candidates = candidate_stores(def_pairs, types)
 
     # The sparse replay: walk the killable stores per identical cell
     # and remember the last (reaching) definition's site.
@@ -137,11 +105,11 @@ class SseAliasEngine:
         with PROFILER.phase("alias"):
             PROFILER.count("alias_queries")
             PROFILER.count("sse_queries")
-            entries, dead = _sparse_resolve(summary, types)
-            if dead:
-                dead_set = set(dead)
+            result = self.query(summary, types)
+            if result.killed:
+                dead = set(result.killed)
                 summary.def_pairs[:] = [
-                    p for p in summary.def_pairs if p not in dead_set
+                    p for p in summary.def_pairs if p not in dead
                 ]
-                PROFILER.count("sse_killed_stores", len(dead))
-            return apply_entries(summary, entries, max_new)
+                PROFILER.count("sse_killed_stores", len(result.killed))
+            return apply_entries(summary, result.entries, max_new)

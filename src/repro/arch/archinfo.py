@@ -9,6 +9,12 @@ firmware — 32-bit ARM (little-endian) and 32-bit MIPS (big-endian).
 
 from dataclasses import dataclass, field
 
+from repro.arch.arm.disassembler import ArmDisassembler
+from repro.arch.arm.lifter import ArmLifter
+from repro.arch.mips.disassembler import MipsDisassembler
+from repro.arch.mips.encoding import MIPS_REG_NAMES
+from repro.arch.mips.lifter import MipsLifter
+
 ARCH_ARM = "arm"
 ARCH_MIPS = "mips"
 
@@ -47,6 +53,7 @@ class ArchInfo:
         return self.endness == "big"
 
     def assembler(self):
+        # Imported on first use: only corpus building assembles.
         if self.name == ARCH_ARM:
             from repro.arch.arm.assembler import ArmAssembler
 
@@ -57,20 +64,12 @@ class ArchInfo:
 
     def disassembler(self):
         if self.name == ARCH_ARM:
-            from repro.arch.arm.disassembler import ArmDisassembler
-
             return ArmDisassembler()
-        from repro.arch.mips.disassembler import MipsDisassembler
-
         return MipsDisassembler()
 
     def lifter(self):
         if self.name == ARCH_ARM:
-            from repro.arch.arm.lifter import ArmLifter
-
             return ArmLifter()
-        from repro.arch.mips.lifter import MipsLifter
-
         return MipsLifter()
 
 
@@ -91,13 +90,6 @@ _ARM = ArchInfo(
     has_delay_slots=False,
     elf_machine=40,  # EM_ARM
     flag_registers=("cc_op", "cc_dep1", "cc_dep2", "cc_ndep"),
-)
-
-MIPS_REG_NAMES = (
-    "zero", "at", "v0", "v1", "a0", "a1", "a2", "a3",
-    "t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7",
-    "s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7",
-    "t8", "t9", "k0", "k1", "gp", "sp", "fp", "ra",
 )
 
 _MIPS = ArchInfo(

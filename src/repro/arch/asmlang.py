@@ -212,9 +212,6 @@ class AssembledProgram:
     def section_bytes(self, name):
         return self.sections[name][1]
 
-    def section_base(self, name):
-        return self.sections[name][0]
-
     def flat_image(self):
         """Concatenate sections into (base, bytes) with zero-fill gaps."""
         placed = [(base, data) for base, data in self.sections.values() if data]

@@ -20,9 +20,9 @@ Comment markers are ``#`` and ``;``.
 import re
 
 from repro.arch import asmlang
-from repro.arch.archinfo import MIPS_REG_NAMES
 from repro.arch.asmlang import AssembledProgram, parse_int
 from repro.arch.mips import encoding as enc
+from repro.arch.mips.encoding import MIPS_REG_NAMES
 from repro.errors import AssemblyError
 from repro.utils.bits import align_up
 

@@ -6,10 +6,15 @@ relative to the delay-slot address; ``j``/``jal`` are region-absolute.
 
 from dataclasses import dataclass
 
-from repro.arch.archinfo import MIPS_REG_NAMES
 from repro.errors import AssemblyError, DisassemblyError
 from repro.utils.bits import bits, sign_extend
 
+MIPS_REG_NAMES = (
+    "zero", "at", "v0", "v1", "a0", "a1", "a2", "a3",
+    "t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7",
+    "s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7",
+    "t8", "t9", "k0", "k1", "gp", "sp", "fp", "ra",
+)
 REG_BY_NAME = {name: i for i, name in enumerate(MIPS_REG_NAMES)}
 
 R_FUNCTS = {

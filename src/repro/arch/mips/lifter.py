@@ -6,8 +6,8 @@ instruction's effects are lifted, matching the architectural semantics
 where the slot executes after the condition is decided.
 """
 
-from repro.arch.archinfo import MIPS_REG_NAMES
 from repro.arch.mips import encoding as enc
+from repro.arch.mips.encoding import MIPS_REG_NAMES
 from repro.errors import LiftError
 from repro.ir.expr import Binop, Const, Get, Load, Ops, Unop
 from repro.ir.irsb import IRBuilder, JumpKind

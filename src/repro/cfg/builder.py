@@ -8,6 +8,7 @@ function's symbol extent are modelled as tail calls.
 """
 
 from repro import faultinject
+from repro.arch.arm import encoding as arm_enc
 from repro.profiling import PROFILER
 from repro.cfg.model import BasicBlock, CallSite, Function
 from repro.errors import (
@@ -183,8 +184,6 @@ class CFGBuilder:
 
     def _arm_flow(self, function, insn):
         """If ``insn`` ends the run, return a closure building the scan."""
-        from repro.arch.arm import encoding as enc
-
         fall = insn.addr + 4
 
         if insn.kind == "branch":
@@ -195,10 +194,10 @@ class CFGBuilder:
             if not function.contains(target):
                 # Direct tail call.
                 call = self._make_call(insn.addr, function, target, None)
-                if insn.cond == enc.COND_AL:
+                if insn.cond == arm_enc.COND_AL:
                     return lambda insns: _Scan(insns, [], call, JumpKind.CALL)
                 return lambda insns: _Scan(insns, [fall], call, JumpKind.CALL)
-            if insn.cond == enc.COND_AL:
+            if insn.cond == arm_enc.COND_AL:
                 return lambda insns: _Scan(insns, [target], None, JumpKind.BORING)
             return lambda insns: _Scan(
                 insns, [target, fall], None, JumpKind.BORING
@@ -208,14 +207,14 @@ class CFGBuilder:
                 call = CallSite(addr=insn.addr, block_addr=None,
                                 return_addr=fall)
                 return lambda insns: _Scan(insns, [fall], call, JumpKind.CALL)
-            if insn.rm == enc.LR:
+            if insn.rm == arm_enc.LR:
                 return lambda insns: _Scan(insns, [], None, JumpKind.RET)
             return lambda insns: _Scan(insns, [], None, JumpKind.BORING)
         if insn.is_return():
             return lambda insns: _Scan(insns, [], None, JumpKind.RET)
         writes_pc = (
             (insn.kind == "dp" and insn.rd == 15
-             and insn.mnemonic not in enc.DP_COMPARE)
+             and insn.mnemonic not in arm_enc.DP_COMPARE)
             or (insn.kind == "mem" and insn.load and insn.rd == 15)
             or (insn.kind == "block" and insn.load and 15 in insn.reglist)
         )

@@ -3,7 +3,8 @@
 Pipeline (paper Fig. 4):
 
 1. function analysis — :mod:`repro.symexec` summaries per function;
-2. pointer aliasing — Algorithm 1 (:mod:`repro.core.aliasing`);
+2. pointer aliasing — Algorithm 1, behind a selectable engine
+   (:mod:`repro.alias`);
 3. data-structure layout similarity — Formula 2
    (:mod:`repro.core.structure`) resolving indirect calls;
 4. interprocedural data flow — bottom-up definition updating,

@@ -48,9 +48,9 @@ def _forwardable(expr):
 class DTaintConfig:
     """Knobs for the pipeline, with ablation switches.
 
-    ``enable_aliasing``, ``enable_structure_similarity`` and
-    ``bottom_up`` exist for the design-choice ablation benches; the
-    defaults are the paper's configuration.
+    ``enable_aliasing`` and ``enable_structure_similarity`` exist for
+    the design-choice ablation benches; the defaults are the paper's
+    configuration.
     """
 
     max_paths: int = 64
@@ -136,7 +136,8 @@ class DTaint:
 
     # ------------------------------------------------------------------
 
-    def _selected_symbols(self):
+    def selected_symbols(self):
+        """Function symbols the config selects, imports included."""
         symbols = self.binary.local_functions
         config = self.config
         if config.modules:
@@ -156,7 +157,7 @@ class DTaint:
         instruction, lift gap, run past extent) is degraded and
         skipped; recovery proceeds for every other function.
         """
-        symbols = self._selected_symbols()
+        symbols = self.selected_symbols()
         self._selected_count = sum(1 for s in symbols if not s.is_import)
 
         def on_fault(symbol, exc):

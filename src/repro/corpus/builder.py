@@ -39,9 +39,6 @@ class BuiltBinary:
     def expected_vulnerabilities(self):
         return [g for g in self.ground_truth if g.vulnerable]
 
-    def expected_safe(self):
-        return [g for g in self.ground_truth if not g.vulnerable]
-
 
 def build_binary(name, arch, source, imports, entry="main", ground_truth=()):
     """Assemble ``source`` and return a :class:`BuiltBinary`."""

@@ -99,10 +99,6 @@ def addr(name):
     return Addr(name)
 
 
-def str_(text):
-    return Str(text)
-
-
 def load(base, offset=0, size=4):
     return Load(base, offset, size)
 

@@ -313,8 +313,8 @@ class BoundSummaryCache(RecordStore):
         self._load()[addr] = serialize_summary(summary)
         self._dirty = True
 
-    def export_blobs(self, addrs=None):
-        """Serialized blobs for ``addrs`` (all when ``None``).
+    def export_blobs(self, addrs):
+        """Serialized blobs for those of ``addrs`` in the bundle.
 
         Shard workers use this to ship their freshly-``put`` pre-alias
         blobs to the merge task, which preloads them and performs the
@@ -323,8 +323,6 @@ class BoundSummaryCache(RecordStore):
         each other).
         """
         bundle = self._load()
-        if addrs is None:
-            return dict(bundle)
         return {
             addr: bundle[addr] for addr in addrs if addr in bundle
         }

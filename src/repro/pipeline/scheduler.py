@@ -437,7 +437,6 @@ def import_job_modules():
     image's whole job takes 5 ms.
     """
     from repro.alias import DEFAULT_ENGINE, get_engine
-    from repro.arch import ARCH_ARM, ARCH_MIPS, get_arch
     from repro.core import DTaint  # noqa: F401
     from repro.eval.resources import measure  # noqa: F401
     from repro.firmware.binwalk import extract_tree  # noqa: F401
@@ -446,9 +445,6 @@ def import_job_modules():
 
     get_engine(DEFAULT_ENGINE)
     registered_parsers()
-    for name in (ARCH_ARM, ARCH_MIPS):
-        get_arch(name).disassembler()
-        get_arch(name).lifter()
 
 
 @gc_paused

@@ -135,22 +135,6 @@ def plan_shards(costs, shard_count):
 # unsharded run does.
 
 
-def _selected_names(binary, config):
-    """Non-import function names the detector would select."""
-    names = []
-    selected = 0
-    for symbol in binary.local_functions:
-        if config.modules and not any(
-            symbol.name.startswith(prefix) for prefix in config.modules
-        ):
-            continue
-        if symbol.is_import:
-            continue
-        selected += 1
-        names.append(symbol.name)
-    return names, selected
-
-
 def execute_phase(job, attempt, options):
     """Dispatch one shard-lifecycle task (worker side).
 
@@ -207,7 +191,9 @@ def _execute_plan(job, attempt, options):
         report_dict = cache.lookup(detector)
         if report_dict is None:
             with profiling.PROFILER.phase("plan"):
-                names, selected = _selected_names(binary, config)
+                names = [symbol.name
+                         for symbol in detector.selected_symbols()
+                         if not symbol.is_import]
                 shards = plan_shards({
                     each: max(binary.functions[each].size, 64)
                     for each in names
@@ -237,7 +223,7 @@ def _execute_plan(job, attempt, options):
         "sha256": sha,
         "spill": spill,
         "bin_name": name,
-        "selected": selected,
+        "selected": len(names),
         "shards": [list(shard) for shard in shards],
         # Shards recover partial call graphs, over which closure
         # fingerprints and dataflow keys would be wrong: ship the

@@ -63,14 +63,6 @@ class Telemetry:
                 self._sinks.remove(sink)
         return record
 
-    def emit_many(self, events, **common):
-        """Ship a batch of worker-collected event dicts, tagged."""
-        for event in events:
-            fields = dict(event)
-            kind = fields.pop("event", "worker_event")
-            fields.update(common)
-            self.emit(kind, **fields)
-
     def close(self):
         if self._handle is not None:
             self._handle.close()

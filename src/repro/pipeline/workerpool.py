@@ -247,13 +247,12 @@ def _pool_worker_main(conn, rlimits=None, heartbeat=0.0,
 class PoolWorker:
     """One live worker process + its duplex command/result pipe."""
 
-    __slots__ = ("process", "conn", "worker_id", "jobs_done")
+    __slots__ = ("process", "conn", "worker_id")
 
     def __init__(self, process, conn, worker_id):
         self.process = process
         self.conn = conn
         self.worker_id = worker_id
-        self.jobs_done = 0
 
     @property
     def pid(self):
@@ -310,25 +309,18 @@ class WorkerPool:
     worker to the idle list; ``discard()`` destroys a worker whose
     process can no longer be trusted (crash, timeout, torn pipe).
 
-    ``max_jobs_per_worker`` optionally recycles a worker after N jobs
-    — a blunt but effective bound on slow per-process growth (intern
-    arenas, RSS high-water) during very long daemon runs.  0 disables
-    recycling.
-
     ``rlimits`` (``{"as_mb": .., "cpu_seconds": .., "fsize_mb": ..}``)
     is applied inside every spawned worker; ``heartbeat`` > 0 starts
     the per-worker heartbeat sidecar at that interval in seconds.
     """
 
-    def __init__(self, ctx=None, max_jobs_per_worker=0, rlimits=None,
-                 heartbeat=0.0):
+    def __init__(self, ctx=None, rlimits=None, heartbeat=0.0):
         if ctx is None:
             methods = multiprocessing.get_all_start_methods()
             ctx = multiprocessing.get_context(
                 "fork" if "fork" in methods else "spawn"
             )
         self._ctx = ctx
-        self.max_jobs_per_worker = max(int(max_jobs_per_worker or 0), 0)
         self.rlimits = dict(rlimits) if rlimits else None
         self.heartbeat = max(float(heartbeat or 0.0), 0.0)
         self._idle = []
@@ -355,12 +347,6 @@ class WorkerPool:
 
     def release(self, worker):
         """Return a healthy worker to the warm idle list."""
-        worker.jobs_done += 1
-        if (self.max_jobs_per_worker
-                and worker.jobs_done >= self.max_jobs_per_worker):
-            self._stop(worker)
-            self.recycled_total += 1
-            return
         if self._closed or not worker.process.is_alive():
             worker.kill()
             self.discarded_total += 1

@@ -10,9 +10,10 @@ Acceptance properties:
 * the sse engine is a strict refinement on the seeded fixtures — it
   drops the dead-store false positive and keeps both vulnerable
   twins — and never *adds* findings on generated programs;
-* ``AliasResult.related`` is reflexive and symmetric over interned
-  values, and sse's surviving entries partition dtaint's
-  (survivors + killed = Algorithm 1's full alias set);
+* sse's surviving entries partition dtaint's (survivors + killed =
+  Algorithm 1's full alias set), and the engines differ only in
+  which stores they believe: sse leaves the pairs dtaint leaves once
+  sse's dead stores are removed;
 * nested profiler phases bill exclusively, so alias work inside
   interproc summary application is attributed to ``alias``.
 """
@@ -124,18 +125,19 @@ class TestQueryProperties:
 
     @settings(deadline=None, max_examples=60)
     @given(st.lists(_store, min_size=1, max_size=8))
-    def test_related_reflexive_symmetric(self, stores):
+    def test_engines_differ_only_in_believed_stores(self, stores):
+        # sse == dtaint run after sse's dead stores are removed: both
+        # engines share the candidate filter and the rewrite.
         summary = _summary_from(stores)
         types = infer_types(summary)
-        for engine in ENGINE_NAMES:
-            result = get_engine(engine).query(summary, types)
-            atoms = [p.dest for p in summary.def_pairs] \
-                + [p.value for p in summary.def_pairs]
-            for atom in atoms:
-                assert result.related(atom, atom)
-            for alias, cell in result.cell_names():
-                assert result.related(alias, cell)
-                assert result.related(cell, alias)
+        killed = set(get_engine("sse").query(summary, types).killed)
+        pruned = _summary_from(stores)
+        pruned.def_pairs[:] = [
+            p for p in pruned.def_pairs if p not in killed
+        ]
+        get_engine("sse").apply(summary, types)
+        get_engine("dtaint").apply(pruned, types)
+        assert summary.def_pairs == pruned.def_pairs
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
-"""Unit tests for Algorithm 1 (pointer-alias recognition)."""
+"""Unit tests for Algorithm 1 (pointer-alias recognition).
 
-from repro.core.aliasing import AliasEntry, alias_replace, find_aliases
+Each case runs the ``dtaint`` engine, which believes every Formula-1
+store: ``query`` is lines 4-7 of the algorithm, ``apply`` the whole.
+"""
+
+from repro.alias import get_engine
 from repro.core.types import infer_types
 from repro.symexec.state import DefPair, FunctionSummary
 from repro.symexec.value import (
@@ -13,6 +17,7 @@ from repro.symexec.value import (
 
 ARG0 = SymVar("arg0")
 ARG1 = SymVar("arg1")
+ENGINE = get_engine("dtaint")
 
 
 def _summary(pairs):
@@ -30,7 +35,7 @@ def test_formula1_alias_found():
         # arg1 used as a deref base => pointer evidence.
         DefPair(dest=mk_deref(ARG1), value=SymConst(1), site=4),
     ])
-    aliases = find_aliases(summary.def_pairs, infer_types(summary))
+    aliases = ENGINE.query(summary, infer_types(summary)).entries
     assert any(
         entry.alias == dest and entry.base == ARG1 and entry.offset == 0x10
         for entry in aliases
@@ -49,7 +54,7 @@ def test_alias_rewrite_creates_second_name():
         DefPair(dest=mk_deref(mk_add(ARG1, SymConst(0x14))),
                 value=SymVar("taint"), site=4),
     ])
-    added = alias_replace(summary, infer_types(summary))
+    added = ENGINE.apply(summary, infer_types(summary))
     rendered = {pretty(p.dest) for p in added}
     assert "deref(deref(arg0 + 0x4c) + 0x14)" in rendered
 
@@ -63,7 +68,7 @@ def test_alias_with_offset_subtracts():
                 value=SymConst(7), site=4),
         DefPair(dest=mk_deref(ARG1), value=SymConst(0), site=8),
     ])
-    added = alias_replace(summary, infer_types(summary))
+    added = ENGINE.apply(summary, infer_types(summary))
     rendered = {pretty(p.dest) for p in added}
     # deref(arg1 + 0x20) == deref((alias - 8) + 0x20) == deref(alias + 0x18)
     assert "deref(deref(arg0) + 0x18)" in rendered
@@ -79,7 +84,7 @@ def test_symmetric_closure():
                 value=SymVar("v"), site=4),
         DefPair(dest=mk_deref(ARG1), value=SymConst(0), site=8),
     ])
-    added = alias_replace(summary, infer_types(summary))
+    added = ENGINE.apply(summary, infer_types(summary))
     rendered = {pretty(p.dest) for p in added}
     assert "deref(arg1 + 0x8)" in rendered
 
@@ -89,14 +94,14 @@ def test_no_alias_for_integers():
     summary = _summary([
         DefPair(dest=mk_deref(ARG0), value=SymConst(42), site=0),
     ])
-    aliases = find_aliases(summary.def_pairs, infer_types(summary))
-    assert aliases == []
+    aliases = ENGINE.query(summary, infer_types(summary)).entries
+    assert aliases == ()
 
 
-def test_alias_replace_is_bounded():
+def test_alias_rewrite_is_bounded():
     pairs = [DefPair(dest=mk_deref(mk_add(ARG0, SymConst(4 * i))),
                      value=ARG1, site=i) for i in range(40)]
     pairs.append(DefPair(dest=mk_deref(ARG1), value=SymConst(0), site=999))
     summary = _summary(pairs)
-    added = alias_replace(summary, infer_types(summary), max_new=10)
+    added = ENGINE.apply(summary, infer_types(summary), max_new=10)
     assert len(added) <= 10

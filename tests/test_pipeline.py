@@ -322,9 +322,7 @@ class TestTelemetryAndResults:
         with Telemetry(path) as telemetry:
             telemetry.emit("run_start", jobs=2)
             telemetry.emit("job_start", job="a", attempt=1)
-            telemetry.emit_many(
-                [{"event": "stage", "name": "ssa"}], job="a"
-            )
+            telemetry.emit("stage", name="ssa", job="a")
         with open(path) as handle:
             lines = [line for line in handle if line.strip()]
         events = [json.loads(line) for line in lines]

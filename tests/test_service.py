@@ -133,18 +133,17 @@ class TestWorkerPool:
             assert scheduler.pool.discarded_total == 1
             assert scheduler.pool.spawned_total == 2
 
-    def test_pool_recycles_after_max_jobs(self, elf_path):
-        pool = WorkerPool(max_jobs_per_worker=1)
+    def test_shared_pool_is_not_closed_by_scheduler(self, elf_path):
+        pool = WorkerPool()
         scheduler = FleetScheduler(jobs=1, pool=pool, backoff=0.0)
-        for round_no in range(2):
-            job = FleetJob(job_id="r%d" % round_no, kind="elf",
-                           path=elf_path)
-            assert scheduler.run([job])[0].ok
-        assert pool.recycled_total == 2
-        assert pool.spawned_total == 2
-        pool.close()
-        # A shared pool is not closed by the scheduler.
+        job = FleetJob(job_id="shared", kind="elf", path=elf_path)
+        assert scheduler.run([job])[0].ok
         scheduler.close()
+        # The pool still holds its warm worker and takes more work.
+        assert pool.warm_count == 1
+        assert FleetScheduler(jobs=1, pool=pool).run([job])[0].ok
+        assert pool.spawned_total == 1
+        pool.close()
 
     def test_parallel_batches_share_results_with_serial(self, elf_path):
         serial = FleetScheduler(jobs=1, backoff=0.0)
@@ -203,6 +202,31 @@ def test_import_job_modules_leaves_jobs_nothing_to_import(tmp_path):
         env=dict(os.environ, PYTHONPATH=pythonpath),
     )
     assert json.loads(done.stdout) == []
+
+
+def test_importing_the_analysis_imports_every_arch_layer():
+    """``repro.core`` brings both architectures' disassembler and
+    lifter with it, so no job imports them on its first image."""
+    code = (
+        "import json, sys\n"
+        "import repro.core\n"
+        "print(json.dumps(sorted(name for name in sys.modules\n"
+        "                        if name.startswith('repro.arch.'))))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    pythonpath = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+    )
+    imported = set(json.loads(done.stdout))
+    for arch in ("arm", "mips"):
+        for layer in ("disassembler", "lifter"):
+            assert "repro.arch.%s.%s" % (arch, layer) in imported
 
 
 class TestJobQueue:
